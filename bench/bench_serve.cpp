@@ -22,16 +22,6 @@
 //                           latency at 1/4/8 worker threads for a fixed
 //                           request pile; one extra record serves the
 //                           quantized plan at 4 threads.
-//   execution contexts      the same fp32 model frozen once per device tag
-//                           (ADEPT_DEVICE values: serial / threaded), each
-//                           measured single-stream (batch 1, one caller) and
-//                           served at 8 workers. The pair quantifies the
-//                           routing trade the device tags express: how much
-//                           each kernel launch gains from fanning out, and
-//                           how far worker-level parallelism substitutes for
-//                           kernel-level parallelism on the current host
-//                           (the answer shifts with core count vs model
-//                           size, which is why it is measured, not assumed).
 //   overload                4 producers flood a small-queue 2-worker server
 //                           (offered load far beyond capacity, 250 ms
 //                           deadlines) once per overload policy. Records
@@ -60,7 +50,6 @@
 
 #include <sys/resource.h>
 
-#include "backend/context.h"
 #include "backend/parallel.h"
 #include "bench_common.h"
 #include "common/table.h"
@@ -229,39 +218,6 @@ ServeResult measure_serving(const rt::CompiledModel& cm, int threads, int reques
   return r;
 }
 
-struct ContextResult {
-  double single_stream_ms = 0;  // batch-1 latency through this context
-  double qps = 0;               // 8-worker served throughput
-};
-
-// Freeze the model with every step tagged for `device` and measure the two
-// serving shapes that bracket the routing trade: one caller issuing batch-1
-// runs (isolates what each kernel launch gains from fanning out) and an
-// 8-worker pool (shows how far worker-level parallelism substitutes for
-// kernel-level parallelism). Which context wins each shape depends on host
-// core count vs model size — the records exist to measure it per host.
-ContextResult measure_context(nn::OnnModel& model, adept::backend::Device device,
-                              int requests) {
-  rt::FreezeOptions opts;
-  opts.device = device;
-  const rt::CompiledModel cm =
-      rt::CompiledModel::freeze(model, {1, kImage, kImage}, opts);
-
-  constexpr int kReps = 25;
-  constexpr double kSample = 0.004;
-  adept::Rng rng(5);
-  const std::vector<float> x = random_sample(rng);
-  rt::CompiledModel::Workspace ws;
-  std::vector<float> out(static_cast<std::size_t>(cm.output_numel()));
-
-  ContextResult r;
-  r.single_stream_ms =
-      time_best([&] { cm.run(x.data(), 1, out.data(), ws); }, kReps, kSample) *
-      1e3;
-  r.qps = measure_serving(cm, 8, requests).qps;
-  return r;
-}
-
 struct OverloadResult {
   double wall_s = 0;
   double goodput_qps = 0;   // completed-before-deadline per second
@@ -414,15 +370,6 @@ int main(int argc, char** argv) {
                    {"p99_us", r.p99_us},
                    {"requests", static_cast<double>(requests)}}});
     }
-    for (adept::backend::Device device :
-         {adept::backend::Device::cpu_serial,
-          adept::backend::Device::cpu_threaded}) {
-      const ContextResult r = measure_context(model, device, requests);
-      report.add({std::string("context_") + adept::backend::device_name(device),
-                  {{"single_stream_ms", r.single_stream_ms},
-                   {"qps_t8", r.qps},
-                   {"requests", static_cast<double>(requests)}}});
-    }
     for (rt::OverloadPolicy policy :
          {rt::OverloadPolicy::block, rt::OverloadPolicy::reject,
           rt::OverloadPolicy::shed_oldest}) {
@@ -470,18 +417,6 @@ int main(int argc, char** argv) {
                  adept::Table::fmt(rq.fill, 2), adept::Table::fmt(rq.p50_us, 0),
                  adept::Table::fmt(rq.p99_us, 0)});
   table.print(std::cout);
-
-  std::printf("\nexecution contexts (fp32 plan retagged per device):\n");
-  adept::Table ctx_table({"context", "single-stream [ms]", "QPS @8 workers"});
-  for (adept::backend::Device device :
-       {adept::backend::Device::cpu_serial,
-        adept::backend::Device::cpu_threaded}) {
-    const ContextResult r = measure_context(model, device, requests);
-    ctx_table.add_row({adept::backend::device_name(device),
-                       adept::Table::fmt(r.single_stream_ms, 3),
-                       adept::Table::fmt(r.qps, 0)});
-  }
-  ctx_table.print(std::cout);
 
   std::printf("\noverload (4 producers, 2 workers, queue %d, 250 ms deadline):\n",
               kServeBatch);

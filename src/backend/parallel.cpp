@@ -15,7 +15,7 @@ namespace adept::backend {
 
 namespace {
 std::atomic<int> g_override{0};
-// Per-thread cap installed by LocalThreadScope (execution contexts). Plain
+// Per-thread cap installed by LocalThreadScope (comm::run_ranks). Plain
 // (non-atomic) is fine: only the owning thread reads or writes it.
 thread_local int t_override = 0;
 }  // namespace

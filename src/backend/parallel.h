@@ -39,13 +39,14 @@ class ThreadScope {
 };
 
 // RAII scope that caps the thread count for kernels launched from the
-// CURRENT thread only. This is the execution-context seam's budget knob
-// (backend/context.h): a serial context driving kernels on one server worker
-// must not throttle kernels the other workers launch concurrently, which a
-// process-wide ThreadScope would. n <= 0 means "no cap" (inherit the global
-// resolution order). Takes precedence over set_num_threads()/ThreadScope for
-// this thread; worker threads spawned by the kernels themselves only execute
-// chunks handed to them, so the cap never needs to propagate.
+// CURRENT thread only, restoring the previous cap on exit. comm::run_ranks
+// gives each rank thread its share of the kernel budget this way: a cap on
+// one rank must not throttle kernels the other ranks launch concurrently,
+// which a process-wide ThreadScope would. n <= 0 means "no cap" (inherit the
+// global resolution order). Takes precedence over set_num_threads()/
+// ThreadScope for this thread; worker threads spawned by the kernels
+// themselves only execute chunks handed to them, so the cap never needs to
+// propagate.
 class LocalThreadScope {
  public:
   explicit LocalThreadScope(int n);

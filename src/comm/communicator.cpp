@@ -1,7 +1,9 @@
 #include "comm/communicator.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "backend/parallel.h"
@@ -39,14 +41,121 @@ int floor_pow2(int n) {
   return p;
 }
 
-}  // namespace
+// One-sided publish/read windows for `world` rank threads in one address
+// space:
+//
+//   publish(r, data, bytes)  make rank r's buffer visible to every peer;
+//                            returns once ALL ranks have published
+//   peer_window(r, off, len) pointer to `len` bytes at offset `off` of rank
+//                            r's published buffer — read-only, and valid
+//                            only until the next release()
+//   release(r)               barrier; afterwards no peer reads rank r's
+//                            window and the publisher may reuse its buffer
+//   barrier() / abort()      generation-counted barrier; abort() poisons it
+//                            so every rank blocked in (or later entering)
+//                            one throws AbortedError
+class InProcessGroup {
+ public:
+  explicit InProcessGroup(int world_size)
+      : world_(world_size), windows_(static_cast<std::size_t>(world_size)) {}
 
-TreeCommunicator::TreeCommunicator(std::unique_ptr<Transport> transport)
-    : transport_(std::move(transport)) {
-  if (transport_->world_size() > kMaxWorld) {
-    throw std::invalid_argument("TreeCommunicator: world_size exceeds kMaxWorld");
+  int world_size() const { return world_; }
+
+  void publish(int rank, const void* data, std::size_t bytes) {
+    windows_[static_cast<std::size_t>(rank)] = {data, bytes};
+    // Publication is complete only once every rank has written its slot:
+    // the barrier doubles as the release/acquire edge that makes the slot
+    // table (and the published payloads) visible across rank threads.
+    barrier();
   }
-}
+
+  const void* peer_window(int peer, std::size_t offset, std::size_t len) const {
+    const Window& w = windows_[static_cast<std::size_t>(peer)];
+    if (w.data == nullptr || offset + len > w.bytes) {
+      throw std::runtime_error("comm: peer_window read outside published window");
+    }
+    return static_cast<const unsigned char*>(w.data) + offset;
+  }
+
+  void release(int rank) {
+    // All ranks stop reading before any publisher reuses its buffer.
+    barrier();
+    windows_[static_cast<std::size_t>(rank)] = {};
+  }
+
+  void barrier() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (poisoned_) throw AbortedError();
+    if (++arrived_ == world_) {
+      arrived_ = 0;
+      ++generation_;
+      cv_.notify_all();
+      return;
+    }
+    const std::uint64_t gen = generation_;
+    cv_.wait(lock, [&] { return generation_ != gen || poisoned_; });
+    if (generation_ == gen && poisoned_) throw AbortedError();
+  }
+
+  void abort() {
+    std::lock_guard<std::mutex> lock(mu_);
+    poisoned_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  struct Window {
+    const void* data = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  int world_;
+  std::vector<Window> windows_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  std::uint64_t generation_ = 0;
+  bool poisoned_ = false;
+};
+
+// The chunked-tree Communicator: rank `rank` of `group`, which must outlive
+// it.
+class TreeCommunicator final : public Communicator {
+ public:
+  TreeCommunicator(InProcessGroup& group, int rank)
+      : group_(&group), rank_(rank), world_(group.world_size()) {}
+
+  int rank() const override { return rank_; }
+  int world_size() const override { return world_; }
+  void allreduce_sum(float* data, std::int64_t n) override { allreduce_impl(data, n); }
+  void allreduce_sum(double* data, std::int64_t n) override { allreduce_impl(data, n); }
+  void broadcast(float* data, std::int64_t n, int root) override {
+    broadcast_impl(data, n, root);
+  }
+  void broadcast(double* data, std::int64_t n, int root) override {
+    broadcast_impl(data, n, root);
+  }
+  void allgather(const float* in, std::int64_t n, float* out) override {
+    allgather_impl(in, n, out);
+  }
+  void allgather(const double* in, std::int64_t n, double* out) override {
+    allgather_impl(in, n, out);
+  }
+  void barrier() override { group_->barrier(); }
+
+ private:
+  template <typename T>
+  void allreduce_impl(T* data, std::int64_t n);
+  template <typename T>
+  void broadcast_impl(T* data, std::int64_t n, int root);
+  template <typename T>
+  void allgather_impl(const T* in, std::int64_t n, T* out);
+
+  InProcessGroup* group_;
+  int rank_;
+  int world_;
+  std::vector<unsigned char> reduced_;  // owner-reduced chunks, full length
+};
 
 template <typename T>
 void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
@@ -63,16 +172,15 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
   obs::TraceSpan span(t_span);
   const int w = world_size();
   if (w == 1 || n <= 0) return;
-  const int me = rank();
+  const int me = rank_;
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
   reduced_.resize(bytes);
-  scratch_.resize(std::min<std::size_t>(bytes, kChunkElems * sizeof(T)));
   T* red = reinterpret_cast<T*>(reduced_.data());
 
   // Phase 1 (reduce-scatter): chunk c is reduced by rank c % w, reading every
   // rank's published source buffer. The per-element order is the fixed rank
   // tree regardless of which rank owns the chunk.
-  transport_->publish(data, bytes);
+  group_->publish(me, data, bytes);
   const std::int64_t chunks = (n + kChunkElems - 1) / kChunkElems;
   for (std::int64_t c = 0; c < chunks; ++c) {
     if (c % w != me) continue;
@@ -82,10 +190,9 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
     for (int r = 0; r < w; ++r) {
       src[r] = (r == me)
                    ? data + lo
-                   : static_cast<const T*>(transport_->peer_window(
+                   : static_cast<const T*>(group_->peer_window(
                          r, static_cast<std::size_t>(lo) * sizeof(T),
-                         static_cast<std::size_t>(hi - lo) * sizeof(T),
-                         scratch_.data())) ;
+                         static_cast<std::size_t>(hi - lo) * sizeof(T)));
     }
     for (std::int64_t i = 0; i < hi - lo; ++i) {
       T v[kMaxWorld] = {};
@@ -93,11 +200,11 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
       red[lo + i] = reduce_tree(v, w);
     }
   }
-  transport_->release();
+  group_->release(me);
 
   // Phase 2 (allgather of reduced chunks): every rank copies each chunk from
   // its owner, so all ranks end with byte-identical buffers.
-  transport_->publish(red, bytes);
+  group_->publish(me, red, bytes);
   for (std::int64_t c = 0; c < chunks; ++c) {
     const std::int64_t lo = c * kChunkElems;
     const std::int64_t hi = std::min(n, lo + kChunkElems);
@@ -106,12 +213,12 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
     if (owner == me) {
       std::memcpy(data + lo, red + lo, len);
     } else {
-      const void* src = transport_->peer_window(
-          owner, static_cast<std::size_t>(lo) * sizeof(T), len, scratch_.data());
+      const void* src = group_->peer_window(
+          owner, static_cast<std::size_t>(lo) * sizeof(T), len);
       std::memcpy(data + lo, src, len);
     }
   }
-  transport_->release();
+  group_->release(me);
 }
 
 template <typename T>
@@ -125,13 +232,9 @@ void TreeCommunicator::broadcast_impl(T* data, std::int64_t n, int root) {
   const int w = world_size();
   if (w == 1 || n <= 0) return;
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
-  scratch_.resize(bytes);
-  transport_->publish(data, bytes);
-  if (rank() != root) {
-    const void* src = transport_->peer_window(root, 0, bytes, scratch_.data());
-    std::memcpy(data, src, bytes);
-  }
-  transport_->release();
+  group_->publish(rank_, data, bytes);
+  if (rank_ != root) std::memcpy(data, group_->peer_window(root, 0, bytes), bytes);
+  group_->release(rank_);
 }
 
 template <typename T>
@@ -149,37 +252,15 @@ void TreeCommunicator::allgather_impl(const T* in, std::int64_t n, T* out) {
     return;
   }
   if (n <= 0) return;
-  scratch_.resize(bytes);
-  transport_->publish(in, bytes);
+  group_->publish(rank_, in, bytes);
   for (int r = 0; r < w; ++r) {
-    if (r == rank()) {
-      std::memcpy(out + static_cast<std::size_t>(r) * n, in, bytes);
-    } else {
-      const void* src = transport_->peer_window(r, 0, bytes, scratch_.data());
-      std::memcpy(out + static_cast<std::size_t>(r) * n, src, bytes);
-    }
+    const void* src = r == rank_ ? in : group_->peer_window(r, 0, bytes);
+    std::memcpy(out + static_cast<std::size_t>(r) * n, src, bytes);
   }
-  transport_->release();
+  group_->release(rank_);
 }
 
-void TreeCommunicator::allreduce_sum(float* data, std::int64_t n) {
-  allreduce_impl(data, n);
-}
-void TreeCommunicator::allreduce_sum(double* data, std::int64_t n) {
-  allreduce_impl(data, n);
-}
-void TreeCommunicator::broadcast(float* data, std::int64_t n, int root) {
-  broadcast_impl(data, n, root);
-}
-void TreeCommunicator::broadcast(double* data, std::int64_t n, int root) {
-  broadcast_impl(data, n, root);
-}
-void TreeCommunicator::allgather(const float* in, std::int64_t n, float* out) {
-  allgather_impl(in, n, out);
-}
-void TreeCommunicator::allgather(const double* in, std::int64_t n, double* out) {
-  allgather_impl(in, n, out);
-}
+}  // namespace
 
 int max_world_size() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -203,7 +284,7 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
   }
   InProcessGroup group(world);
   if (world == 1) {
-    TreeCommunicator comm(group.transport(0));
+    TreeCommunicator comm(group, 0);
     fn(comm);
     return;
   }
@@ -214,7 +295,7 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
   auto body = [&](int r) {
     backend::LocalThreadScope scope(budget);
     try {
-      TreeCommunicator comm(group.transport(r));
+      TreeCommunicator comm(group, r);
       fn(comm);
     } catch (...) {
       errors[static_cast<std::size_t>(r)] = std::current_exception();

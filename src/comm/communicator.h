@@ -1,8 +1,8 @@
 // Rank collectives for data-parallel search and training.
 //
-// Communicator is the arithmetic layer over comm/transport.h: it owns the
-// chunking and — critically — the reduction order. allreduce_sum computes
-// every output element with a fixed pairwise tree over rank indices
+// Communicator owns the chunking and — critically — the reduction order.
+// allreduce_sum computes every output element with a fixed pairwise tree
+// over rank indices
 //
 //   stride = 1, 2, 4, ...:   v[r] += v[r + stride]
 //
@@ -14,6 +14,13 @@
 //     collective on any machine, at any ADEPT_NUM_THREADS, gives the same
 //     bits. This is the same size-only-chunking discipline the backend
 //     kernels use (backend/parallel.h), lifted one level up.
+//
+// Ranks are threads of one process sharing a rank group: each collective
+// publishes a pointer to its buffer in the group's window table, peers read
+// one another's windows in place between two barriers, and the barrier is
+// poisonable — after abort() every rank blocked in (or later entering) a
+// collective unblocks with AbortedError, so a rank that dies mid-collective
+// cannot deadlock the world.
 //
 // World sizes are powers of two up to kMaxWorld, which keeps rank subtrees
 // aligned with the micro-shard tree in comm/sharded.h (see that header for
@@ -32,12 +39,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
-
-#include "comm/transport.h"
+#include <stdexcept>
 
 namespace adept::comm {
+
+// Thrown out of any collective after a peer aborted the group: the
+// collective cannot complete because a peer gave up. Derives from
+// std::runtime_error so generic catch sites treat it like any other
+// collective failure.
+struct AbortedError : std::runtime_error {
+  AbortedError() : std::runtime_error("comm: collective aborted by a peer rank") {}
+};
 
 // Hard cap on the in-process world size; also the widest rank tree the fixed
 // reduction order supports.
@@ -58,36 +70,6 @@ class Communicator {
   virtual void allgather(const float* in, std::int64_t n, float* out) = 0;
   virtual void allgather(const double* in, std::int64_t n, double* out) = 0;
   virtual void barrier() = 0;
-};
-
-// The chunked-tree implementation over any Transport.
-class TreeCommunicator : public Communicator {
- public:
-  explicit TreeCommunicator(std::unique_ptr<Transport> transport);
-
-  int rank() const override { return transport_->rank(); }
-  int world_size() const override { return transport_->world_size(); }
-  void allreduce_sum(float* data, std::int64_t n) override;
-  void allreduce_sum(double* data, std::int64_t n) override;
-  void broadcast(float* data, std::int64_t n, int root) override;
-  void broadcast(double* data, std::int64_t n, int root) override;
-  void allgather(const float* in, std::int64_t n, float* out) override;
-  void allgather(const double* in, std::int64_t n, double* out) override;
-  void barrier() override { transport_->barrier(); }
-
-  Transport& transport() { return *transport_; }
-
- private:
-  template <typename T>
-  void allreduce_impl(T* data, std::int64_t n);
-  template <typename T>
-  void broadcast_impl(T* data, std::int64_t n, int root);
-  template <typename T>
-  void allgather_impl(const T* in, std::int64_t n, T* out);
-
-  std::unique_ptr<Transport> transport_;
-  std::vector<unsigned char> reduced_;  // owner-reduced chunks, full length
-  std::vector<unsigned char> scratch_;  // staging for copying transports
 };
 
 // Largest world the environment-driven knob may resolve to on this machine:

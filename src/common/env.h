@@ -12,15 +12,6 @@
 //                       scalar | avx2 | avx512 (default: best level the
 //                       binary + CPU support; unknown or unavailable values
 //                       clamp down, never error — see backend/dispatch.h).
-//   ADEPT_DEVICE        default execution context plans route their steps
-//                       to: serial | threaded (default threaded; unknown
-//                       values clamp to threaded, never error — see
-//                       backend/context.h). Serial and threaded contexts
-//                       are ASSERT_EQ bit-identical at every SIMD level
-//                       (tests/test_context.cpp); `serial` caps each
-//                       kernel launch to one thread without touching the
-//                       global ADEPT_NUM_THREADS, the right shape when an
-//                       outer pool (the serving workers) owns the cores.
 //   ADEPT_RANKS         data-parallel rank count for search/training entry
 //                       points (default 1; see comm/communicator.h
 //                       resolve_ranks). Clamped to [1, hardware ranks]

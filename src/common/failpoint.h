@@ -34,8 +34,8 @@
 //   checkpoint.save.open / .write / .fsync / .rename   crash-safe save path
 //   checkpoint.load.read                               torn/short reads
 //   runtime.freeze                                     CompiledModel::freeze
-//   runtime.context.step                               CompiledModel::run's
-//                                                      context dispatch loop
+//   runtime.plan.step                                  before each step of
+//                                                      CompiledModel::run
 //   server.worker.batch                                before each forward
 //   comm.allreduce                                     entry of every rank's
 //                                                      collective allreduce

@@ -1,9 +1,5 @@
 #include "runtime/compiled_model.h"
 
-#include "common/failpoint.h"
-
-#include <chrono>
-#include <cstdio>
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -15,6 +11,7 @@
 #include "autograd/ops.h"
 #include "autograd/tensor.h"
 #include "backend/kernels.h"
+#include "common/failpoint.h"
 #include "common/version.h"
 #include "nn/layers.h"
 #include "nn/onn_layers.h"
@@ -46,18 +43,6 @@ std::int64_t numel_of(const std::vector<std::int64_t>& dims) {
   return n;
 }
 
-// Eval-time [out,in] weight of an ONN layer through the cached batched
-// weight_expr path, with phase noise suspended (sigma pushed to 0 and
-// popped, drift stream untouched) so the frozen plan is the nominal design.
-ag::Tensor frozen_onn_weight(nn::PtcWeight& w) {
-  ag::NoGradGuard guard;
-  const double sigma = w.phase_noise();
-  w.set_phase_noise_sigma(0.0);
-  ag::Tensor weight = w.weight_expr();
-  w.set_phase_noise_sigma(sigma);
-  return weight;
-}
-
 // [out,in] -> [in,out] copy (the materialized transpose ONNLinear/ONNConv2d
 // forward feeds to the N/N gemm; transposition moves values untouched).
 std::vector<float> transposed(const std::vector<float>& w, std::int64_t out,
@@ -71,20 +56,36 @@ std::vector<float> transposed(const std::vector<float>& w, std::int64_t out,
   return wt;
 }
 
+// The [in,out] gemm weight of a Linear/Conv2d layer, which stores it that
+// way already.
+std::vector<float> gemm_weight(const ag::Tensor& w) { return w.data(); }
+
+// The [in,out] gemm weight of an ONNLinear/ONNConv2d layer: its eval-time
+// [out,in] weight through the cached batched weight_expr path, with phase
+// noise suspended (sigma pushed to 0 and popped, drift stream untouched) so
+// the frozen plan is the nominal design, then transposed.
+std::vector<float> gemm_weight(nn::PtcWeight& w) {
+  ag::NoGradGuard guard;
+  const double sigma = w.phase_noise();
+  w.set_phase_noise_sigma(0.0);
+  ag::Tensor weight = w.weight_expr();
+  w.set_phase_noise_sigma(sigma);
+  return transposed(weight.data(), w.out_features(), w.in_features());
+}
+
 // Per-row int8 quantization of `rows` rows of `k` floats: scale[i] =
 // absmax(row i) / 127 (0 for an all-zero row). Per-SAMPLE scales are what
 // keeps quantized results independent of micro-batch composition — the
 // Server guarantee in runtime/server.h (a per-batch scale would make a
 // request's answer depend on its batch mates).
-void quantize_rows(const be::ExecContext& ctx, std::int64_t rows,
-                   std::int64_t k, const float* x, float* scale,
-                   std::int8_t* out) {
-  // The row sweep parallelizes through the step's context; the per-row
-  // absmax/quantize kernels stay below their own parallel grain at these
-  // row widths, so no nested fan-out. Both kernels are exact (max is
-  // order-independent, the convert rounds like lrintf), so the quantized
-  // image is identical on every context.
-  ctx.for_each(
+void quantize_rows(std::int64_t rows, std::int64_t k, const float* x,
+                   float* scale, std::int8_t* out) {
+  // The row sweep is the parallel loop; the per-row absmax/quantize kernels
+  // stay below their own parallel grain at these row widths, so no nested
+  // fan-out. Both kernels are exact (max is order-independent, the convert
+  // rounds like lrintf), so the quantized image is identical at every
+  // thread count.
+  be::parallel_for(
       rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(k, 1)),
       [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
@@ -141,68 +142,48 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
     nn::Module& m = *modules[mi];
     PlanStep s;
     s.in_numel = numel_of(cur);
+    // Linear/ONNLinear and Conv2d/ONNConv2d lower alike; they differ only
+    // in where the [in,out] gemm weight comes from (gemm_weight).
+    auto lower_linear = [&](auto& l, const char* what) {
+      expect_features(what, l.in_features());
+      s.kind = PlanStep::Kind::linear;
+      s.in_feat = l.in_features();
+      s.out_feat = l.out_features();
+      s.weight = gemm_weight(l.weight());
+      if (l.has_bias()) s.bias = l.bias().data();
+      cur = {s.out_feat};
+    };
+    auto lower_conv = [&](auto& c, const char* what) {
+      expect_chw(what);
+      if (cur[0] != c.in_channels()) {
+        fail(std::string(what) + " expects " + std::to_string(c.in_channels()) +
+             " input channels, the plan carries " + dims_str(cur));
+      }
+      s.kind = PlanStep::Kind::conv;
+      s.c = cur[0];
+      s.h = cur[1];
+      s.w = cur[2];
+      s.k = c.kernel();
+      s.stride = c.stride();
+      s.pad = c.pad();
+      s.out_c = c.out_channels();
+      s.oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
+      s.ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
+      if (s.oh <= 0 || s.ow <= 0) {
+        fail(std::string(what) + " output is empty for input " + dims_str(cur));
+      }
+      s.weight = gemm_weight(c.weight());
+      if (c.has_bias()) s.bias = c.bias().data();
+      cur = {s.out_c, s.oh, s.ow};
+    };
     if (auto* l = dynamic_cast<nn::ONNLinear*>(&m)) {
-      expect_features("ONNLinear", l->in_features());
-      s.kind = PlanStep::Kind::linear;
-      s.in_feat = l->in_features();
-      s.out_feat = l->out_features();
-      ag::Tensor w = frozen_onn_weight(l->weight());  // [out, in]
-      s.weight = transposed(w.data(), s.out_feat, s.in_feat);
-      if (l->has_bias()) s.bias = l->bias().data();
-      cur = {s.out_feat};
+      lower_linear(*l, "ONNLinear");
     } else if (auto* c = dynamic_cast<nn::ONNConv2d*>(&m)) {
-      expect_chw("ONNConv2d");
-      if (cur[0] != c->in_channels()) {
-        fail("ONNConv2d expects " + std::to_string(c->in_channels()) +
-             " input channels, the plan carries " + dims_str(cur));
-      }
-      s.kind = PlanStep::Kind::conv;
-      s.c = cur[0];
-      s.h = cur[1];
-      s.w = cur[2];
-      s.k = c->kernel();
-      s.stride = c->stride();
-      s.pad = c->pad();
-      s.out_c = c->out_channels();
-      s.oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
-      s.ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
-      if (s.oh <= 0 || s.ow <= 0) {
-        fail("ONNConv2d output is empty for input " + dims_str(cur));
-      }
-      ag::Tensor w = frozen_onn_weight(c->weight());  // [out_c, fan_in]
-      s.weight = transposed(w.data(), s.out_c, s.c * s.k * s.k);
-      if (c->has_bias()) s.bias = c->bias().data();
-      cur = {s.out_c, s.oh, s.ow};
+      lower_conv(*c, "ONNConv2d");
     } else if (auto* l = dynamic_cast<nn::Linear*>(&m)) {
-      expect_features("Linear", l->in_features());
-      s.kind = PlanStep::Kind::linear;
-      s.in_feat = l->in_features();
-      s.out_feat = l->out_features();
-      s.weight = l->weight().data();  // already [in, out]
-      if (l->has_bias()) s.bias = l->bias().data();
-      cur = {s.out_feat};
+      lower_linear(*l, "Linear");
     } else if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-      expect_chw("Conv2d");
-      if (cur[0] != c->in_channels()) {
-        fail("Conv2d expects " + std::to_string(c->in_channels()) +
-             " input channels, the plan carries " + dims_str(cur));
-      }
-      s.kind = PlanStep::Kind::conv;
-      s.c = cur[0];
-      s.h = cur[1];
-      s.w = cur[2];
-      s.k = c->kernel();
-      s.stride = c->stride();
-      s.pad = c->pad();
-      s.out_c = c->out_channels();
-      s.oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
-      s.ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
-      if (s.oh <= 0 || s.ow <= 0) {
-        fail("Conv2d output is empty for input " + dims_str(cur));
-      }
-      s.weight = c->weight().data();  // already [fan_in, out_c]
-      if (c->has_bias()) s.bias = c->bias().data();
-      cur = {s.out_c, s.oh, s.ow};
+      lower_conv(*c, "Conv2d");
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
       expect_chw("BatchNorm2d");
       if (cur[0] != bn->channels()) {
@@ -280,16 +261,14 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
   if (options.quantize_int8) quantize_plan(cm.steps_);
   cm.slot_sizes_ =
       assign_slots(cm.steps_, options.optimize, cm.max_interm_numel_);
-  assign_devices(cm.steps_, options.device);
   pack_plan(cm.steps_);
-  // Intern the per-step trace-span names now that kind/device are final:
+  // Intern the per-step trace-span names now that the step kinds are final:
   // run() records spans by id only, so plan hotspots show up per step in
   // ADEPT_TRACE output with zero string work on the hot path.
   for (std::size_t i = 0; i < cm.steps_.size(); ++i) {
     PlanStep& s = cm.steps_[i];
     s.trace_id = obs::intern_name("plan.s" + std::to_string(i) + "." +
-                                  plan_kind_name(s.kind) + "@" +
-                                  be::device_name(s.device));
+                                  plan_kind_name(s.kind));
   }
   cm.options_ = options;
   cm.frozen_param_version_ = param_version();
@@ -305,8 +284,8 @@ bool CompiledModel::refresh(nn::OnnModel& model) {
   return true;
 }
 
-void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
-                          const float* src, std::int64_t batch, float* dst,
+void CompiledModel::apply(const PlanStep& s, const float* src,
+                          std::int64_t batch, float* dst,
                           Workspace& ws) const {
   switch (s.kind) {
     case PlanStep::Kind::linear: {
@@ -314,9 +293,8 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
         ws.ascale.resize(static_cast<std::size_t>(batch));
         ws.qa.resize(static_cast<std::size_t>(batch * s.in_feat));
         ws.qacc.resize(static_cast<std::size_t>(batch * s.out_feat));
-        quantize_rows(ctx, batch, s.in_feat, src, ws.ascale.data(),
-                      ws.qa.data());
-        ctx.gemm_s8_packed(batch, s.out_feat, s.in_feat, ws.qa.data(),
+        quantize_rows(batch, s.in_feat, src, ws.ascale.data(), ws.qa.data());
+        be::gemm_s8_packed(batch, s.out_feat, s.in_feat, ws.qa.data(),
                            s.in_feat, s.weight_s8.data(), s.out_feat,
                            s.packed_s8, ws.qacc.data(), s.out_feat);
         // Dequantize with the freeze-time folded constants (bias and any
@@ -337,7 +315,7 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
       }
       // ag::matmul forward: one N/N gemm, alpha=1 beta=0 (weight panels
       // pre-packed at freeze; bit-identical either way).
-      ctx.gemm_packed(batch, s.out_feat, s.in_feat, 1.0f, src, s.in_feat,
+      be::gemm_packed(batch, s.out_feat, s.in_feat, 1.0f, src, s.in_feat,
                       be::Trans::N, s.weight.data(), s.out_feat, s.packed,
                       0.0f, dst, s.out_feat);
       const std::size_t n = static_cast<std::size_t>(batch * s.out_feat);
@@ -384,17 +362,17 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
         const std::int64_t nblk = std::min(nb, batch - n0);
         const std::int64_t rows = nblk * ohow;
         if (s.quantized) {
-          quantize_rows(ctx, nblk, s.in_numel, src + n0 * s.in_numel,
+          quantize_rows(nblk, s.in_numel, src + n0 * s.in_numel,
                         ws.ascale.data(), ws.qsrc.data());
-          ctx.im2col_s8(ws.qsrc.data(), nblk, s.c, s.h, s.w, s.k, s.k,
+          be::im2col_s8(ws.qsrc.data(), nblk, s.c, s.h, s.w, s.k, s.k,
                         s.stride, s.pad, ws.qa.data());
-          ctx.gemm_s8_packed(rows, s.out_c, fan_in, ws.qa.data(), fan_in,
+          be::gemm_s8_packed(rows, s.out_c, fan_in, ws.qa.data(), fan_in,
                              s.weight_s8.data(), s.out_c, s.packed_s8,
                              ws.qacc.data(), s.out_c);
         } else {
-          ctx.im2col(src + n0 * s.in_numel, nblk, s.c, s.h, s.w, s.k, s.k,
+          be::im2col(src + n0 * s.in_numel, nblk, s.c, s.h, s.w, s.k, s.k,
                      s.stride, s.pad, ws.cols.data());
-          ctx.gemm_packed(rows, s.out_c, fan_in, 1.0f, ws.cols.data(), fan_in,
+          be::gemm_packed(rows, s.out_c, fan_in, 1.0f, ws.cols.data(), fan_in,
                           be::Trans::N, s.weight.data(), s.out_c, s.packed,
                           0.0f, ws.rows.data(), s.out_c);
         }
@@ -447,7 +425,7 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
       // ops.cpp eval path: y = ((x - mu) * invstd) * gamma + beta. Pure
       // elementwise, so in-place execution (src == dst) is safe.
       const std::int64_t plane = s.h * s.w;
-      ctx.for_each(
+      be::parallel_for(
           batch * s.c,
           std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)),
           [&, plane](std::int64_t s0, std::int64_t s1) {
@@ -469,16 +447,16 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
     }
     case PlanStep::Kind::relu: {
       const std::int64_t n = batch * s.in_numel;
-      ctx.for_each(n, be::detail::kElemGrain,
-                   [&](std::int64_t i0, std::int64_t i1) {
-                     for (std::int64_t i = i0; i < i1; ++i) {
-                       dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-                     }
-                   });
+      be::parallel_for(n, be::detail::kElemGrain,
+                       [&](std::int64_t i0, std::int64_t i1) {
+                         for (std::int64_t i = i0; i < i1; ++i) {
+                           dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+                         }
+                       });
       break;
     }
     case PlanStep::Kind::maxpool: {
-      ctx.for_each(
+      be::parallel_for(
           batch * s.c, /*grain=*/1,
           [&](std::int64_t s0, std::int64_t s1) {
             for (std::int64_t slice = s0; slice < s1; ++slice) {
@@ -502,7 +480,7 @@ void CompiledModel::apply(const PlanStep& s, const be::ExecContext& ctx,
       break;
     }
     case PlanStep::Kind::avgpool: {
-      ctx.for_each(
+      be::parallel_for(
           batch * s.c, /*grain=*/1,
           [&](std::int64_t s0, std::int64_t s1) {
             for (std::int64_t slice = s0; slice < s1; ++slice) {
@@ -543,17 +521,11 @@ void CompiledModel::run(const float* input, std::int64_t batch, float* output,
   const float* src = input;
   for (std::size_t si = 0; si < steps_.size(); ++si) {
     const PlanStep& s = steps_[si];
-    // Device-plan routing: each step executes through the context its tag
-    // names — a worker-owned context installed in the workspace, or the
-    // process-wide singleton. The seam the dispatch loop guards is the one
-    // failure-injection covers: a context that cannot launch a step must
-    // surface as an exception here, not as silent garbage downstream.
-    const be::ExecContext* ctx =
-        ws.contexts[static_cast<std::size_t>(s.device)];
-    if (ctx == nullptr) ctx = &be::context_for(s.device);
-    if (failpoint::maybe_fail("runtime.context.step")) {
-      fail("step " + std::to_string(si) + " (" + ctx->name() +
-           " context) failed (injected via failpoint runtime.context.step)");
+    // Failure-injection seam: a step that cannot run must surface as an
+    // exception here, not as silent garbage downstream.
+    if (failpoint::maybe_fail("runtime.plan.step")) {
+      fail("step " + std::to_string(si) + " (" + plan_kind_name(s.kind) +
+           ") failed (injected via failpoint runtime.plan.step)");
     }
     float* dst = s.out_slot < 0
                      ? output
@@ -569,42 +541,10 @@ void CompiledModel::run(const float* input, std::int64_t batch, float* output,
                   std::numeric_limits<float>::quiet_NaN());
       }
     }
-    // Per-step span (ids interned at freeze, tagged kind@device): the
-    // disarmed cost is one relaxed load, so the production hot loop stays
-    // as branch-free as before.
+    // Per-step span (ids interned at freeze); disarmed, it costs one
+    // relaxed load.
     obs::TraceSpan step_span(s.trace_id);
-#ifdef ADEPT_STEP_PROF
-    // Build-time profiling aid (docs/compiled_model.md): per-step best-case
-    // latency, printed every 200 runs. Off by default — the flag is never
-    // set by CMake — so the hot loop below stays branch-free in production.
-    {
-      static thread_local std::vector<double> best;
-      if (best.size() < steps_.size()) best.resize(steps_.size(), 1e300);
-      const auto t0 = std::chrono::steady_clock::now();
-      apply(s, *ctx, src, batch, dst, ws);
-      ctx->finish();
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      if (us < best[si]) best[si] = us;
-      if (si + 1 == steps_.size()) {
-        static thread_local int calls = 0;
-        if (++calls % 200 == 0) {
-          for (std::size_t j = 0; j < best.size(); ++j)
-            std::fprintf(stderr, "step %2zu kind %d : %8.1f us\n", j,
-                         static_cast<int>(steps_[j].kind), best[j]);
-          std::fprintf(stderr, "---\n");
-        }
-      }
-    }
-#else
-    apply(s, *ctx, src, batch, dst, ws);
-    // Synchronization point: the next step (or the caller) reads this
-    // step's output, so the context must have retired it. Free for the CPU
-    // contexts (kernels are synchronous); an async device context would
-    // drain its stream here.
-    ctx->finish();
-#endif
+    apply(s, src, batch, dst, ws);
     src = dst;
   }
 }

@@ -33,7 +33,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "backend/context.h"
 #include "nn/models.h"
 #include "runtime/plan.h"
 
@@ -54,12 +53,6 @@ class CompiledModel {
     // that is NOT live for the step about to execute with NaN, so a plan
     // that reads a freed slot poisons its output.
     bool poison_free_slots = false;
-    // Execution contexts, indexed by the step's device tag. A null entry
-    // falls back to the process-wide backend::context_for singleton, so a
-    // default-constructed Workspace just works; the Server installs its
-    // per-worker owned contexts here. Pointees must outlive every run()
-    // using this workspace.
-    const backend::ExecContext* contexts[backend::kDeviceCount] = {};
   };
 
   // Lower `model` for inputs of per-sample shape `input_dims` (no batch
@@ -106,9 +99,8 @@ class CompiledModel {
   void dump_plan(std::ostream& os) const;
 
  private:
-  void apply(const PlanStep& s, const backend::ExecContext& ctx,
-             const float* src, std::int64_t batch, float* dst,
-             Workspace& ws) const;
+  void apply(const PlanStep& s, const float* src, std::int64_t batch,
+             float* dst, Workspace& ws) const;
 
   std::vector<PlanStep> steps_;
   std::vector<std::int64_t> slot_sizes_;  // per-sample floats per slot

@@ -183,10 +183,6 @@ std::vector<std::int64_t> assign_slots(std::vector<PlanStep>& steps,
   return sizes;
 }
 
-void assign_devices(std::vector<PlanStep>& steps, be::Device device) {
-  for (PlanStep& s : steps) s.device = device;
-}
-
 void pack_plan(std::vector<PlanStep>& steps) {
   for (PlanStep& s : steps) {
     const std::int64_t k = s.gemm_k();
@@ -234,24 +230,12 @@ void dump_plan_steps(const std::vector<PlanStep>& steps,
     if (s.quantized) os << " int8";
     os << "  " << slot_name(s.in_slot) << " -> " << slot_name(s.out_slot);
     if (s.in_place) os << " (in place)";
-    os << " @" << be::device_name(s.device);
     os << "\n";
-  }
-  // A slot belongs to the device of the step writing it (the first writer
-  // under slot reuse — all writers share a device under today's uniform
-  // assign_devices policy).
-  std::vector<const char*> slot_dev(slot_sizes.size(), nullptr);
-  for (const PlanStep& s : steps) {
-    if (s.out_slot >= 0 && static_cast<std::size_t>(s.out_slot) < slot_dev.size() &&
-        slot_dev[static_cast<std::size_t>(s.out_slot)] == nullptr) {
-      slot_dev[static_cast<std::size_t>(s.out_slot)] = be::device_name(s.device);
-    }
   }
   os << "slots:";
   if (slot_sizes.empty()) os << " none";
   for (std::size_t i = 0; i < slot_sizes.size(); ++i) {
     os << " s" << i << "=" << slot_sizes[i];
-    if (slot_dev[i] != nullptr) os << "@" << slot_dev[i];
   }
   os << " floats/sample\n";
 }

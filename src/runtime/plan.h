@@ -32,7 +32,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "backend/context.h"
 #include "backend/kernels.h"
 
 namespace adept::runtime {
@@ -47,15 +46,8 @@ struct FreezeOptions {
   // int32 accumulation + dequantize-on-store (per-sample activation
   // scales, so results stay independent of micro-batch composition).
   bool quantize_int8 = false;
-  // Execution context the device-plan pass (assign_devices) routes steps
-  // to. Defaults to the ADEPT_DEVICE env knob (threaded when unset — see
-  // backend/context.h). Serial and threaded contexts are ASSERT_EQ
-  // bit-identical, so this is a latency/throughput knob, never an accuracy
-  // one.
-  backend::Device device = backend::default_device();
 
   // ADEPT_SERVE_QUANT != 0 sets quantize_int8 (see common/env.h).
-  // `device` already defaulted from ADEPT_DEVICE at construction.
   static FreezeOptions from_env();
 };
 
@@ -128,16 +120,10 @@ struct PlanStep {
   int out_slot = -1;
   bool in_place = false;
 
-  // Device plan (assign_devices): the execution context this step's
-  // kernels run through. A slot inherits the device of the step that
-  // writes it (dump_plan_steps derives and prints this), which is where a
-  // future non-host context hangs its residency decision.
-  backend::Device device = backend::Device::cpu_threaded;
-
-  // Interned span name "plan.s<i>.<kind>@<device>" (obs::TraceId), filled
-  // at freeze time after the device plan settles, so CompiledModel::run's
-  // per-step trace spans never build a string on the hot path. 0 = the
-  // registry's "(unnamed)" entry (a step that never went through freeze).
+  // Interned span name "plan.s<i>.<kind>" (obs::TraceId), filled at freeze
+  // time, so CompiledModel::run's per-step trace spans never build a string
+  // on the hot path. 0 = the registry's "(unnamed)" entry (a step that
+  // never went through freeze).
   std::uint32_t trace_id = 0;
 
   // gemm operand shape: K (reduction) and N (output columns); 0 for
@@ -169,15 +155,6 @@ void quantize_plan(std::vector<PlanStep>& steps);
 // fills in_slot / out_slot / in_place on every step.
 std::vector<std::int64_t> assign_slots(std::vector<PlanStep>& steps,
                                        bool optimize, std::int64_t max_interm);
-
-// Device-plan pass: tag every step with the execution context it will run
-// through. The policy today is uniform — every step gets `device` — but
-// CompiledModel::run resolves the context per STEP, so a heterogeneous
-// assignment (e.g. keep tiny epilogue steps on the serial context, or land
-// gemm steps on an accelerator context) executes correctly the moment a
-// policy writes one. Tags are perf routing only: serial and threaded CPU
-// contexts are bit-identical by the kernel layer's determinism contract.
-void assign_devices(std::vector<PlanStep>& steps, backend::Device device);
 
 // Pack every gemm/conv weight for the active SIMD level (fp32 panels, or
 // int8 panels for quantized steps). Bumps weight_pack_count() once per

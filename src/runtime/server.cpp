@@ -4,7 +4,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "backend/context.h"
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "runtime/checkpoint.h"
@@ -82,7 +81,6 @@ ServerConfig ServerConfig::from_env() {
   c.policy = parse_overload_policy(env_string("ADEPT_SERVE_POLICY", "block"));
   c.deadline_us = env_int("ADEPT_SERVE_DEADLINE_US", 0);
   c.quantize = env_int("ADEPT_SERVE_QUANT", 0) != 0;
-  c.device = backend::default_device();  // ADEPT_DEVICE, clamped like policy
   return c.clamped();
 }
 
@@ -204,18 +202,6 @@ void Server::fail_expired(std::vector<Request>& expired) {
 
 void Server::worker_loop() {
   CompiledModel::Workspace ws;
-  // Per-worker execution contexts, one per device, installed into this
-  // worker's workspace: CompiledModel::run routes each step to the context
-  // its device tag names. Today's CPU contexts are stateless, but owning
-  // them per worker is the seam's contract — a future context with a
-  // stream or a scratch pool must never be shared across workers. Hot
-  // reload needs no coordination here: contexts belong to the worker, not
-  // the plan being swapped.
-  std::unique_ptr<backend::ExecContext> ctxs[backend::kDeviceCount];
-  for (int d = 0; d < backend::kDeviceCount; ++d) {
-    ctxs[d] = backend::make_context(static_cast<backend::Device>(d));
-    ws.contexts[d] = ctxs[d].get();
-  }
   std::vector<Request> batch;
   std::vector<Request> expired;
   std::vector<float> inputs, outputs;

@@ -99,28 +99,15 @@ struct ServerConfig {
   // batch-composition-independence guarantee above intact for quantized
   // plans too (asserted in tests/test_plan.cpp).
   bool quantize = false;
-  // Like `quantize`, a freeze-time knob surfaced in the serving config:
-  // deployment entry points pass it to FreezeOptions so the plan's steps
-  // route to this execution context (ADEPT_DEVICE; threaded when unset).
-  // The Server itself executes whatever device tags the plan carries —
-  // each worker owns context instances for every device and installs them
-  // in its workspace, so stateful future contexts are never shared across
-  // workers. Serial and threaded contexts are bit-identical; this knob
-  // trades kernel-internal parallelism against worker-pool parallelism
-  // (device=serial + many workers is the high-throughput shape the
-  // "Parallelism note" above describes, without touching the global
-  // ADEPT_NUM_THREADS).
-  backend::Device device = backend::default_device();
 
   // Reads ADEPT_SERVE_THREADS / ADEPT_SERVE_MAX_BATCH /
   // ADEPT_SERVE_MAX_WAIT_US / ADEPT_SERVE_POLICY / ADEPT_SERVE_DEADLINE_US /
-  // ADEPT_SERVE_QUANT / ADEPT_DEVICE, clamping out-of-range values into the
-  // supported envelope (documented in common/env.h, tested in tests/
+  // ADEPT_SERVE_QUANT, clamping out-of-range values into the supported
+  // envelope (documented in common/env.h, tested in tests/
   // test_server_robustness.cpp): threads [1, 256] (default: hardware
   // concurrency), max_batch [1, 4096], max_wait_us [0, 1000000], policy one
   // of block|reject|shed_oldest (unknown -> block), deadline_us
-  // [0, 600000000] (0 = none), quantize any nonzero integer, device one of
-  // serial|threaded (unknown -> threaded).
+  // [0, 600000000] (0 = none), quantize any nonzero integer.
   static ServerConfig from_env();
 
   // The clamp from_env applies, exposed for callers building configs by

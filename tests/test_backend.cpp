@@ -1,12 +1,14 @@
 // Tests for the src/backend dense kernel layer: blocked gemm (all transpose
 // variants, non-square/odd shapes, alpha/beta), fused elementwise kernels,
-// im2col/col2im, thread-count bit-exactness, and gradchecks of the autograd
-// ops ported onto the backend.
+// im2col/col2im, the parallel_for runtime and its thread caps, thread-count
+// bit-exactness, and gradchecks of the autograd ops ported onto the backend.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -164,6 +166,55 @@ TEST(Determinism, ThreadedMatchesSerialBitExactly) {
   for (std::size_t i = 0; i < c_serial.size(); ++i) {
     ASSERT_EQ(c_serial[i], c_threaded[i]) << "elem " << i;
   }
+}
+
+TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
+  for (int threads : {1, 4}) {
+    be::ThreadScope scope(threads);
+    const std::int64_t n = 10'007;  // prime, so chunks never divide evenly
+    std::vector<std::int32_t> hits(static_cast<std::size_t>(n), 0);
+    be::parallel_for(n, 64, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        hits[static_cast<std::size_t>(i)] += 1;
+      }
+    });
+    for (std::int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1)
+          << "threads " << threads << " index " << i;
+    }
+  }
+}
+
+// comm::run_ranks splits the kernel budget across rank threads with
+// LocalThreadScope: the cap binds only the thread that installed it, keeps
+// that thread's kernels on the thread itself, and restores the previous cap
+// on exit.
+TEST(Parallel, LocalThreadScopeCapsOnlyItsOwnThread) {
+  be::ThreadScope four(4);
+  ASSERT_EQ(be::num_threads(), 4);
+  {
+    be::LocalThreadScope cap(1);
+    EXPECT_EQ(be::num_threads(), 1);
+    int sibling = 0;
+    std::thread([&] { sibling = be::num_threads(); }).join();
+    EXPECT_EQ(sibling, 4);
+
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(64);
+    be::parallel_for(64, 1, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      }
+    });
+    for (const std::thread::id& id : ran_on) EXPECT_EQ(id, self);
+
+    {
+      be::LocalThreadScope inner(2);
+      EXPECT_EQ(be::num_threads(), 2);
+    }
+    EXPECT_EQ(be::num_threads(), 1);
+  }
+  EXPECT_EQ(be::num_threads(), 4);
 }
 
 TEST(Determinism, ElementwiseAndReduceBitExact) {

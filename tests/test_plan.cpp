@@ -8,7 +8,9 @@
 // to the tape). The opt-in int8 mode is exempt from that contract but makes
 // its own promises: integer kernels are bit-identical across SIMD levels,
 // results are independent of micro-batch composition, and outputs stay
-// close to fp32.
+// close to fp32. Both modes give the same bits at 1 and 4 kernel threads,
+// and the runtime.plan.step failpoint surfaces a failed step as an error,
+// standalone and through a serving future.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,10 +18,14 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "backend/dispatch.h"
 #include "backend/kernels.h"
+#include "backend/parallel.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/version.h"
 #include "data/synthetic.h"
@@ -28,6 +34,7 @@
 #include "nn/train.h"
 #include "photonics/builders.h"
 #include "runtime/compiled_model.h"
+#include "runtime/server.h"
 
 namespace {
 
@@ -315,6 +322,115 @@ TEST(PlanInt8, OutputsCloseToFp32) {
     // the logit range is the expected regime; 10% is a loose alarm bound.
     ASSERT_NEAR(a[i], b[i], 0.10f * scale) << "element " << i;
   }
+}
+
+// ---- thread-count parity ---------------------------------------------------
+
+// Plan steps call the backend kernels, whose chunk boundaries are pure
+// functions of the problem size, so 1 and 4 kernel threads give the same
+// bits at every SIMD level.
+std::vector<float> run_at_threads(const rt::CompiledModel& cm,
+                                  const std::vector<float>& x,
+                                  std::int64_t batch, int threads) {
+  be::ThreadScope scope(threads);
+  return cm.run(x, batch);
+}
+
+TEST(PlanThreads, OneVsFourThreadsBitIdenticalAcrossSimdLevels) {
+  nn::OnnModel mlp = make_mlp(7);
+  nn::OnnModel lenet = make_lenet(19);
+  const rt::CompiledModel mlp_cm = freeze(mlp, {17}, /*optimize=*/true);
+  const rt::CompiledModel net_cm = freeze(lenet, {1, 16, 16}, /*optimize=*/true);
+  Rng rng(3);
+  for (be::SimdLevel level : be::available_simd_levels()) {
+    be::SimdScope scope(level);
+    for (std::int64_t batch : {1, 3, 16}) {
+      const std::string tag = std::string("level ") +
+                              be::simd_level_name(level) + " batch " +
+                              std::to_string(batch);
+      const std::vector<float> xm = random_input(batch * 17, rng);
+      expect_bit_identical(run_at_threads(mlp_cm, xm, batch, 1),
+                           run_at_threads(mlp_cm, xm, batch, 4),
+                           ("mlp " + tag).c_str());
+      const std::vector<float> xl = random_input(batch * 256, rng);
+      expect_bit_identical(run_at_threads(net_cm, xl, batch, 1),
+                           run_at_threads(net_cm, xl, batch, 4),
+                           ("lenet " + tag).c_str());
+    }
+  }
+}
+
+TEST(PlanThreads, OneVsFourThreadsBitIdenticalInt8) {
+  nn::OnnModel model = make_lenet(23);
+  const rt::CompiledModel q =
+      freeze(model, {1, 16, 16}, /*optimize=*/true, /*quantize=*/true);
+  Rng rng(5);
+  for (be::SimdLevel level : be::available_simd_levels()) {
+    be::SimdScope scope(level);
+    for (std::int64_t batch : {1, 5, 16}) {
+      const std::vector<float> x = random_input(batch * 256, rng);
+      const std::string tag = std::string("int8 level ") +
+                              be::simd_level_name(level) + " batch " +
+                              std::to_string(batch);
+      expect_bit_identical(run_at_threads(q, x, batch, 1),
+                           run_at_threads(q, x, batch, 4), tag.c_str());
+    }
+  }
+}
+
+// ---- step failures: the runtime.plan.step failpoint ------------------------
+
+TEST(PlanFailpoint, StepFailureThrowsFromRun) {
+  nn::OnnModel model = make_mlp(13);
+  const rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  Rng rng(17);
+  const std::vector<float> x = random_input(17, rng);
+  const std::uint64_t before = adept::failpoint::hit_count("runtime.plan.step");
+  {
+    adept::failpoint::Scoped fp("runtime.plan.step", "throw");
+    EXPECT_THROW(cm.run(x, 1), adept::failpoint::Injected);
+  }
+  EXPECT_GT(adept::failpoint::hit_count("runtime.plan.step"), before);
+  // Disarmed, the same plan runs normally again.
+  EXPECT_EQ(cm.run(x, 1).size(), 4u);
+}
+
+TEST(PlanFailpoint, StepErrorSpecRunsTheSitesOwnErrorPath) {
+  nn::OnnModel model = make_mlp(31);
+  const rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  Rng rng(37);
+  const std::vector<float> x = random_input(17, rng);
+  adept::failpoint::Scoped fp("runtime.plan.step", "error");
+  // "error" makes maybe_fail return true: the step loop maps that onto its
+  // own failure, a std::runtime_error naming the site and the step.
+  try {
+    (void)cm.run(x, 1);
+    FAIL() << "expected the plan step loop to fail";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("runtime.plan.step"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("step 0 (linear)"), std::string::npos) << msg;
+  }
+}
+
+TEST(PlanFailpoint, StepFailureSurfacesThroughServingFuture) {
+  nn::OnnModel model = make_mlp(41);
+  const rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  rt::ServerConfig cfg;
+  cfg.threads = 1;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 0;
+  rt::Server server(cm, cfg);
+  Rng rng(43);
+  {
+    adept::failpoint::Scoped fp("runtime.plan.step", "throw");
+    auto fut = server.submit(random_input(17, rng));
+    EXPECT_THROW(fut.get(), adept::failpoint::Injected);
+  }
+  // The worker survives a failed step: the next request is answered
+  // normally by the same (sole) worker.
+  auto ok = server.submit(random_input(17, rng));
+  EXPECT_EQ(ok.get().size(), 4u);
 }
 
 // ---- refresh: no repack when parameters did not move -----------------------

@@ -12,6 +12,10 @@ Checks, each exiting non-zero on failure:
      in README.md — and specifically as a row of the README knob table
      (a line starting "| `KNOB"), so the table cannot silently drift from
      the source of truth while a stray prose mention keeps the check green.
+  3. Every README knob-table row names a knob src/common/env.h documents.
+  4. Every knob src/common/env.h documents, other than the ADEPT_BENCH_*
+     family (read by the benches), is read by a string literal ("KNOB")
+     somewhere in src/, so a knob whose code is gone cannot stay documented.
 """
 from __future__ import annotations
 
@@ -31,6 +35,10 @@ DOC_FILES = sorted(
 # are expected to be real paths in this repo's docs.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 KNOB_RE = re.compile(r"\bADEPT_[A-Z0-9_]+\b")
+# A README knob-table row: "| `ADEPT_X` | default | meaning |".
+ROW_RE = re.compile(r"^\| `(ADEPT_[A-Z0-9_]+)", re.MULTILINE)
+# A knob read by code: the name as a complete string literal.
+LITERAL_RE = re.compile(r"\"(ADEPT_[A-Z0-9_]+)\"")
 
 
 def check_links() -> list[str]:
@@ -76,6 +84,22 @@ def check_env_knobs() -> list[str]:
             errors.append(
                 f"src/common/env.h documents {knob} but the README.md knob "
                 "table has no row for it"
+            )
+    for knob in sorted(set(ROW_RE.findall(readme))):
+        if knob not in knobs:
+            errors.append(
+                f"README.md knob table has a row for {knob} but "
+                "src/common/env.h does not document it"
+            )
+    read = set()
+    for src in (ROOT / "src").rglob("*"):
+        if src.suffix in (".h", ".cpp", ".inc"):
+            read.update(LITERAL_RE.findall(src.read_text(encoding="utf-8")))
+    for knob in knobs:
+        if not knob.startswith("ADEPT_BENCH_") and knob not in read:
+            errors.append(
+                f"src/common/env.h documents {knob} but no string literal "
+                "in src/ reads it"
             )
     return errors
 
