@@ -51,10 +51,11 @@ struct BenchScale {
 };
 
 // Run the ADEPT search for one footprint target on the CNN proxy task.
-// `ranks`: 0 resolves the ADEPT_RANKS knob (1 keeps the legacy single-process
-// loop); an explicit count >= 1 always runs the data-parallel path, so the
-// search_r{1,2,4} trajectory records compare like against like (sharded
-// numerics are bit-identical across rank counts).
+// `ranks` goes to core::run_search_data_parallel: 0 runs the one-shard
+// single-process search unless ADEPT_RANKS resolves above 1; an explicit
+// count >= 1 always runs the data-parallel numerics, so the search_r{1,2,4}
+// trajectory records compare like against like (bit-identical across rank
+// counts).
 inline core::SearchResult run_search(int k, const photonics::Pdk& pdk, double f_min,
                                      double f_max, const BenchScale& scale,
                                      const data::SyntheticDataset& train,
@@ -74,18 +75,13 @@ inline core::SearchResult run_search(int k, const photonics::Pdk& pdk, double f_
   config.steps_per_epoch = 12;
   config.alm.rho0 = 1e-4 * k / 8.0;
   config.seed = seed;
-  if (ranks > 0 || comm::resolve_ranks(ranks) > 1) {
-    return core::run_search_data_parallel(
-        config,
-        [&] {
-          return std::make_unique<nn::OnnProxyTask>(
-              train, val, scale.batch, scale.cnn_width, seed + 1);
-        },
-        ranks);
-  }
-  nn::OnnProxyTask task(train, val, scale.batch, scale.cnn_width, seed + 1);
-  core::AdeptSearcher searcher(config, task);
-  return searcher.run();
+  return core::run_search_data_parallel(
+      config,
+      [&] {
+        return std::make_unique<nn::OnnProxyTask>(train, val, scale.batch,
+                                                  scale.cnn_width, seed + 1);
+      },
+      ranks);
 }
 
 // Re-train a fresh proxy CNN with a frozen topology; returns test accuracy.

@@ -42,24 +42,19 @@ int main() {
   config.alm.rho0 = 1e-4;
   config.seed = 11;
 
-  nn::OnnProxyTask task(train, val, /*batch=*/24, /*width=*/6, /*seed=*/5);
-  core::AdeptSearcher searcher(config, task);
+  const auto mesh = core::SuperMeshConfig::from_bounds(
+      config.mesh.k, config.footprint, config.max_super_blocks_per_unitary);
   std::printf("SuperMesh: %d super blocks per unitary (%d always-on)\n",
-              searcher.config().mesh.super_blocks_per_unitary,
-              searcher.config().mesh.always_on_per_unitary);
+              mesh.super_blocks_per_unitary, mesh.always_on_per_unitary);
   // ADEPT_RANKS > 1 runs the data-parallel search (bit-identical at any
-  // rank count); otherwise the single-process loop above.
-  const int ranks = adept::comm::resolve_ranks();
-  const auto result =
-      ranks > 1 ? core::run_search_data_parallel(
-                      config,
-                      [&] {
-                        return std::make_unique<nn::OnnProxyTask>(
-                            train, val, /*batch=*/24, /*width=*/6, /*seed=*/5);
-                      },
-                      ranks)
-                : searcher.run();
-  if (ranks > 1) std::printf("data-parallel search: %d ranks\n", ranks);
+  // rank count); otherwise the one-shard search on this thread.
+  const auto result = core::run_search_data_parallel(config, [&] {
+    return std::make_unique<nn::OnnProxyTask>(train, val, /*batch=*/24,
+                                              /*width=*/6, /*seed=*/5);
+  });
+  if (adept::comm::use_rank_group()) {
+    std::printf("data-parallel search: %d ranks\n", adept::comm::resolve_ranks());
+  }
   const auto counts = result.topology.counts();
   std::printf("searched: #CR=%lld #DC=%lld #Blk=%lld footprint=%.0f k-um^2\n",
               static_cast<long long>(counts.cr), static_cast<long long>(counts.dc),

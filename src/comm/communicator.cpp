@@ -278,6 +278,10 @@ int resolve_ranks(int requested) {
   return floor_pow2(r);
 }
 
+bool use_rank_group(int requested) {
+  return requested > 0 || resolve_ranks(requested) > 1;
+}
+
 void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
   if (world < 1 || world > kMaxWorld) {
     throw std::invalid_argument("run_ranks: world out of [1, kMaxWorld]");

@@ -88,6 +88,12 @@ int max_world_size();
 // stay aligned with the fixed reduction tree (3 -> 2, 5..7 -> 4).
 int resolve_ranks(int requested = 0);
 
+// The one rule that picks how a search or training run executes: in a rank
+// group (shard_count(items) micro-shards per step) when `requested` is
+// explicit (> 0, so 1 gives the data-parallel numerics on one rank) or
+// ADEPT_RANKS resolves above 1; otherwise single-process, one shard per step.
+bool use_rank_group(int requested = 0);
+
 // Run fn(comm) on `world` in-process rank threads and wait for all of them.
 // Rank 0 executes on the calling thread. Each rank runs under a
 // LocalThreadScope of max(1, backend::num_threads() / world) kernel threads.

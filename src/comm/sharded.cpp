@@ -30,6 +30,11 @@ int shard_owner(int shard, int shards, int world) {
   return shard * world / shards;
 }
 
+int step_shard_count(std::int64_t items, const Communicator* comm) {
+  const int shards = shard_count(items);
+  return comm != nullptr ? shards : std::min(shards, 1);
+}
+
 ShardedGradReducer::ShardedGradReducer(std::vector<ag::Tensor> params,
                                        int scalar_slots)
     : params_(std::move(params)), scalar_slots_(scalar_slots) {
@@ -96,7 +101,7 @@ void ShardedGradReducer::add_shard(const std::vector<double>& scalars) {
 }
 
 std::vector<double> ShardedGradReducer::finish(
-    Communicator& comm, const std::vector<std::vector<float>>* replicated) {
+    Communicator* comm, const std::vector<std::vector<float>>* replicated) {
   // Collapse the merge stack right-to-left (later shards fold into earlier
   // ones, completing the tree); a rank that owned no shards reduces zeros.
   while (stack_.size() >= 2) {
@@ -107,11 +112,14 @@ std::vector<double> ShardedGradReducer::finish(
                                   : std::move(stack_.back());
   stack_.clear();
 
-  for (auto& bucket : total.buckets) {
-    comm.allreduce_sum(bucket.data(), static_cast<std::int64_t>(bucket.size()));
+  if (comm != nullptr) {
+    for (auto& bucket : total.buckets) {
+      comm->allreduce_sum(bucket.data(),
+                          static_cast<std::int64_t>(bucket.size()));
+    }
+    comm->allreduce_sum(total.scalars.data(),
+                        static_cast<std::int64_t>(total.scalars.size()));
   }
-  comm.allreduce_sum(total.scalars.data(),
-                     static_cast<std::int64_t>(total.scalars.size()));
 
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];

@@ -23,6 +23,9 @@
 //      indices — so the global combine order is THE SAME tree for every
 //      world size in {1, 2, 4, 8}.
 //
+// A single-process run (no communicator) takes the same step body as world
+// 1, rank 0, with one shard over all of a step's items and no collective.
+//
 // A rank that owns no shards (more ranks than shards) contributes an
 // all-zero partial; x + 0.0f == x for every finite and non-finite x except
 // that -0 + 0 flushes to +0 — a value-equal result, which is what the
@@ -63,6 +66,10 @@ ShardRange shard_range(std::int64_t items, int shard, int shards);
 // (world > shards leaves high ranks empty-handed).
 int shard_owner(int shard, int shards, int world);
 
+// Micro-shards for one step of `items` items: shard_count(items) in a rank
+// group, one shard over every item when `comm` is null (0 without work).
+int step_shard_count(std::int64_t items, const Communicator* comm);
+
 // Accumulates per-shard gradients of a fixed parameter list in the fixed
 // shard-tree order, then allreduces the result across ranks. Usage per step:
 //
@@ -76,7 +83,8 @@ int shard_owner(int shard, int shards, int world);
 //
 // finish() writes the final gradients into the parameters' .grad buffers
 // (every parameter gets a grad, zero if nothing touched it) and returns the
-// tree-reduced scalar block. `replicated` — an optional per-parameter flat
+// tree-reduced scalar block. A null `comm` (single-process run) skips the
+// cross-rank allreduce. `replicated` — an optional per-parameter flat
 // addend that is identical on every rank (penalty gradients computed
 // redundantly per rank) — is added elementwise AFTER the cross-rank reduce,
 // so it is counted once, not world_size times.
@@ -86,8 +94,13 @@ class ShardedGradReducer {
 
   void add_shard(const std::vector<double>& scalars);
   std::vector<double> finish(
-      Communicator& comm,
+      Communicator* comm,
       const std::vector<std::vector<float>>* replicated = nullptr);
+  std::vector<double> finish(
+      Communicator& comm,
+      const std::vector<std::vector<float>>* replicated = nullptr) {
+    return finish(&comm, replicated);
+  }
 
   // Flat copies of the params' current .grad buffers (zeros when absent) —
   // the shape finish() expects for `replicated`.

@@ -13,17 +13,20 @@
 //                       binary + CPU support; unknown or unavailable values
 //                       clamp down, never error — see backend/dispatch.h).
 //   ADEPT_RANKS         data-parallel rank count for search/training entry
-//                       points (default 1; see comm/communicator.h
-//                       resolve_ranks). Clamped to [1, hardware ranks]
+//                       points that are given no explicit rank count
+//                       (default 1; see comm/communicator.h resolve_ranks
+//                       and use_rank_group). Clamped to [1, hardware ranks]
 //                       where hardware ranks = min(hardware concurrency, 8),
 //                       then rounded down to a power of two; unset, unknown,
 //                       or unparsable values fall back to 1, never error.
-//                       N-rank results are ASSERT_EQ bit-identical to 1-rank
-//                       at every thread count (tests/test_comm.cpp) — the
-//                       knob trades wall clock, never numerics. Each rank
-//                       gets a kernel thread budget of
-//                       ADEPT_NUM_THREADS / ranks (min 1) so ranks x threads
-//                       never oversubscribes the machine.
+//                       Resolving to 1 runs single-process, one shard per
+//                       step; above 1 runs a rank group with
+//                       shard_count(items) micro-shards per step, whose
+//                       results are ASSERT_EQ bit-identical to an explicit
+//                       1-rank run at every thread count
+//                       (tests/test_comm.cpp). Each rank gets a kernel
+//                       thread budget of ADEPT_NUM_THREADS / ranks (min 1)
+//                       so ranks x threads never oversubscribes the machine.
 //
 // Serving knobs consumed by runtime::ServerConfig::from_env() (see
 // runtime/server.h; out-of-range values clamp into the supported envelope,

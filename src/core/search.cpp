@@ -29,19 +29,16 @@ AdeptSearcher::AdeptSearcher(const SearchConfig& config, ProxyTask& task)
 }
 
 SearchResult AdeptSearcher::run(comm::Communicator* comm) {
-  const bool sharded = comm != nullptr;
-  if (sharded && !task_.supports_sharding()) {
-    throw std::invalid_argument(
-        "AdeptSearcher: task does not support sharded (data-parallel) "
-        "execution; run() without a communicator instead");
-  }
+  // Without a communicator the step body runs as world 1, rank 0.
+  const int rank = comm != nullptr ? comm->rank() : 0;
+  const int world = comm != nullptr ? comm->world_size() : 1;
   SearchResult result;
   const int total_steps = config_.epochs * config_.steps_per_epoch;
   const int spl_step = config_.spl_epoch * config_.steps_per_epoch;
 
-  // Search telemetry (docs/observability.md): per-step wall time + span on
-  // every rank (per-rank skew shows in the trace), loss/penalty gauges
-  // tracking the latest step, and a counter for SPL legalization events.
+  // Search telemetry (docs/observability.md): per-step wall time, step and
+  // phase spans on every rank (per-rank skew shows in the trace), loss/penalty
+  // gauges tracking the latest step, and a counter for SPL legalizations.
   // Under data parallelism the traced values are rank-identical by the
   // bit-exactness contract, so rank 0's gauge writes equal every rank's.
   obs::Histogram& step_us = obs::histogram("search.step_us");
@@ -49,7 +46,13 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   obs::Gauge& g_footprint_penalty = obs::gauge("search.footprint_penalty");
   obs::Counter& legalizations = obs::counter("search.legalize_count");
   static const obs::TraceId t_step = obs::intern_name("search.step");
-  const bool telemetry_rank = !sharded || comm->rank() == 0;
+  static const obs::TraceId t_mesh = obs::intern_name("search.mesh");
+  static const obs::TraceId t_forward = obs::intern_name("search.forward");
+  static const obs::TraceId t_backward = obs::intern_name("search.backward");
+  static const obs::TraceId t_penalty = obs::intern_name("search.penalty");
+  static const obs::TraceId t_optimizer = obs::intern_name("search.optimizer");
+  static const obs::TraceId t_legalize = obs::intern_name("search.legalize");
+  const bool telemetry_rank = rank == 0;
 
   AlmState alm(static_cast<std::size_t>(mesh_->total_blocks()), config_.mesh.k,
                config_.alm);
@@ -60,10 +63,10 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     for (auto& w : task_.weights()) params.push_back(w);
     return params;
   };
-  // Every differentiable leaf a loss graph can touch. The sharded path runs
-  // several backward passes per step (one per owned shard + one for the
-  // replicated penalties), so grads must be wiped between passes on ALL
-  // leaves, not just the stepped optimizer's.
+  // Every differentiable leaf a loss graph can touch. A step runs several
+  // backward passes (one per owned shard + one for the replicated
+  // penalties), so grads must be wiped between passes on ALL leaves, not
+  // just the stepped optimizer's.
   auto all_params = [&]() {
     std::vector<Tensor> params = weight_params();
     for (auto& a : mesh_->arch_params()) params.push_back(a);
@@ -75,16 +78,15 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   optim::Adam arch_opt(mesh_->arch_params(), config_.lr_arch, 0.9, 0.999, 1e-8,
                        config_.weight_decay_arch);
 
-  // The cross-rank gradient reduction rides Optimizer::step's pre-step hook:
-  // the step body points these slots at the current step's reducer/penalty
-  // stash, and step() reduces right before apply_step reads the grads.
+  // The gradient reduction rides Optimizer::step's pre-step hook: the step
+  // body points these slots at the current step's reducer/penalty stash, and
+  // step() reduces right before apply_step reads the grads.
   comm::ShardedGradReducer* cur_reducer = nullptr;
   std::vector<std::vector<float>>* cur_penalty = nullptr;
   std::vector<double> reduced_scalars;
   auto attach_hook = [&](optim::Optimizer& opt) {
-    if (!sharded) return;
     opt.set_pre_step_hook([&, comm] {
-      reduced_scalars = cur_reducer->finish(*comm, cur_penalty);
+      reduced_scalars = cur_reducer->finish(comm, cur_penalty);
     });
   };
   attach_hook(*weight_opt);
@@ -95,9 +97,8 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
 
   int cycle = 0;
   for (int step = 0; step < total_steps; ++step) {
-    // RAII covers both branch exits of the step body (the unsharded branch
-    // leaves via `continue`). Histogram entries on rank 0 only, so count
-    // == steps regardless of world size; spans on every rank.
+    // Histogram entries on rank 0 only, so count == steps regardless of
+    // world size; spans on every rank.
     obs::TraceSpan step_span(t_step);
     obs::ScopedTimerUs step_timer(telemetry_rank ? &step_us : nullptr);
     const int epoch = step / config_.steps_per_epoch;
@@ -107,6 +108,7 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     // SPL: legalize and freeze permutations, rebuild the weight optimizer
     // without them (paper: epoch 50 of 90).
     if (step == spl_step && !mesh_->permutations_frozen()) {
+      obs::TraceSpan legalize_span(t_legalize);
       if (telemetry_rank) legalizations.inc();
       mesh_->legalize_permutations(rng_, config_.spl);
       weight_opt = std::make_unique<optim::Adam>(
@@ -120,55 +122,18 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
         !warmup && (cycle++ % (config_.weight_steps_per_arch_step + 1) ==
                     config_.weight_steps_per_arch_step);
 
-    mesh_->begin_step(tau, rng_, /*stochastic=*/true);
-
-    if (!sharded) {
-      Tensor task_loss = task_.loss(*mesh_, /*validation=*/arch_step);
-      Tensor loss = task_loss;
-      std::vector<Tensor> perms;
-      if (!mesh_->permutations_frozen()) {
-        perms = mesh_->all_relaxed_perms();
-        loss = ag::add(loss, alm.penalty(perms));
-      }
-      Tensor penalty = mesh_->footprint_penalty_expr(config_.footprint);
-      if (!warmup) loss = ag::add(loss, penalty);
-      // Record E[F] before the optimizer mutates parameters: the value then
-      // describes the same parameters as task_loss/penalty above (and reads
-      // the block-count cache footprint_penalty_expr just filled, instead of
-      // re-running SPL legalization per query).
-      result.trace.expected_footprint.push_back(
-          mesh_->expected_footprint(config_.footprint.pdk));
-
-      if (arch_step) {
-        arch_opt.zero_grad();
-        loss.backward();
-        arch_opt.step();
-      } else {
-        weight_opt->zero_grad();
-        loss.backward();
-        weight_opt->step();
-        if (!mesh_->permutations_frozen()) alm.update(perms);
-      }
-
-      result.trace.task_loss.push_back(task_loss.item());
-      result.trace.alm_lambda.push_back(alm.mean_lambda());
-      result.trace.alm_rho.push_back(alm.rho());
-      result.trace.permutation_error.push_back(
-          perms.empty() ? 0.0 : alm.permutation_error(perms));
-      result.trace.footprint_penalty.push_back(penalty.item());
-      g_task_loss.set(result.trace.task_loss.back());
-      g_footprint_penalty.set(result.trace.footprint_penalty.back());
-      continue;
+    {
+      obs::TraceSpan mesh_span(t_mesh);
+      mesh_->begin_step(tau, rng_, /*stochastic=*/true);
     }
 
-    // ---- sharded (data-parallel) step ----------------------------------
-    // Task gradients come from one backward per owned micro-shard, combined
-    // across shards and ranks in the fixed tree order of comm/sharded.h.
+    // Task gradients come from one backward per owned shard, combined
+    // across shards (and ranks) in the fixed tree order of comm/sharded.h.
     // The ALM + footprint penalty gradients are replicated (identical on
     // every rank), computed in a separate pass, and added exactly once
-    // after the cross-rank reduce.
+    // after the reduce.
     const std::int64_t items = task_.begin_step_items(arch_step);
-    const int shards = comm::shard_count(items);
+    const int shards = comm::step_shard_count(items, comm);
     optim::Optimizer& opt =
         arch_step ? static_cast<optim::Optimizer&>(arch_opt) : *weight_opt;
     comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
@@ -178,13 +143,16 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
         0.0f);
     std::vector<Tensor> leaves = all_params();
     for (int s = 0; s < shards; ++s) {
-      if (comm::shard_owner(s, shards, comm->world_size()) != comm->rank()) {
-        continue;
+      if (comm::shard_owner(s, shards, world) != rank) continue;
+      Tensor shard_loss;
+      {
+        obs::TraceSpan forward_span(t_forward);
+        for (auto& p : leaves) p.zero_grad();
+        const auto range = comm::shard_range(items, s, shards);
+        shard_loss =
+            task_.loss_shard(*mesh_, arch_step, range.lo, range.hi, items);
       }
-      for (auto& p : leaves) p.zero_grad();
-      const auto range = comm::shard_range(items, s, shards);
-      Tensor shard_loss =
-          task_.loss_shard(*mesh_, arch_step, range.lo, range.hi, items);
+      obs::TraceSpan backward_span(t_backward);
       shard_loss.backward();
       reducer.add_shard({static_cast<double>(shard_loss.item())});
       if (stat_cols > 0) {
@@ -193,40 +161,52 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
                                       static_cast<std::size_t>(stat_cols));
       }
     }
-    for (auto& p : leaves) p.zero_grad();
     std::vector<Tensor> perms;
-    Tensor penalty = mesh_->footprint_penalty_expr(config_.footprint);
-    Tensor extra = Tensor::scalar(0.0f);
-    bool have_extra = false;
-    if (!mesh_->permutations_frozen()) {
-      perms = mesh_->all_relaxed_perms();
-      extra = ag::add(extra, alm.penalty(perms));
-      have_extra = true;
+    Tensor penalty;
+    std::vector<std::vector<float>> penalty_grads;
+    {
+      obs::TraceSpan penalty_span(t_penalty);
+      for (auto& p : leaves) p.zero_grad();
+      penalty = mesh_->footprint_penalty_expr(config_.footprint);
+      Tensor extra = Tensor::scalar(0.0f);
+      bool have_extra = false;
+      if (!mesh_->permutations_frozen()) {
+        perms = mesh_->all_relaxed_perms();
+        extra = ag::add(extra, alm.penalty(perms));
+        have_extra = true;
+      }
+      if (!warmup) {
+        extra = ag::add(extra, penalty);
+        have_extra = true;
+      }
+      if (have_extra) extra.backward();
+      std::vector<Tensor> opt_params = opt.params();
+      penalty_grads = comm::ShardedGradReducer::harvest_grads(opt_params);
+      // E[F] before the optimizer mutates parameters: the value describes
+      // the same parameters as task_loss/penalty (and reads the block-count
+      // cache footprint_penalty_expr just filled).
+      result.trace.expected_footprint.push_back(
+          mesh_->expected_footprint(config_.footprint.pdk));
     }
-    if (!warmup) {
-      extra = ag::add(extra, penalty);
-      have_extra = true;
-    }
-    if (have_extra) extra.backward();
-    std::vector<Tensor> opt_params = opt.params();
-    std::vector<std::vector<float>> penalty_grads =
-        comm::ShardedGradReducer::harvest_grads(opt_params);
-    result.trace.expected_footprint.push_back(
-        mesh_->expected_footprint(config_.footprint.pdk));
 
-    cur_reducer = &reducer;
-    cur_penalty = &penalty_grads;
-    opt.step();  // pre-step hook: allreduce task grads, add penalty grads
-    cur_reducer = nullptr;
-    cur_penalty = nullptr;
-    if (!arch_step && !mesh_->permutations_frozen()) alm.update(perms);
+    {
+      obs::TraceSpan optimizer_span(t_optimizer);
+      cur_reducer = &reducer;
+      cur_penalty = &penalty_grads;
+      opt.step();  // pre-step hook: reduce task grads, add penalty grads
+      cur_reducer = nullptr;
+      cur_penalty = nullptr;
+      if (!arch_step && !mesh_->permutations_frozen()) alm.update(perms);
 
-    if (stat_cols > 0) {
-      // Zero-filled except each owner's rows, so the sum IS the gather;
-      // every rank then replays the same bits in shard order.
-      comm->allreduce_sum(stat_rows.data(),
-                          static_cast<std::int64_t>(stat_rows.size()));
-      task_.apply_step_stats(stat_rows.data(), shards);
+      if (stat_cols > 0) {
+        // Zero-filled except each owner's rows, so the sum IS the gather;
+        // every rank then replays the same bits in shard order.
+        if (comm != nullptr) {
+          comm->allreduce_sum(stat_rows.data(),
+                              static_cast<std::int64_t>(stat_rows.size()));
+        }
+        task_.apply_step_stats(stat_rows.data(), shards);
+      }
     }
 
     result.trace.task_loss.push_back(
@@ -243,6 +223,7 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   }
 
   if (!mesh_->permutations_frozen()) {
+    obs::TraceSpan legalize_span(t_legalize);
     if (telemetry_rank) legalizations.inc();
     mesh_->legalize_permutations(rng_, config_.spl);
   }
@@ -251,6 +232,11 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
                                            config_.footprint.f_max);
   result.final_metric = task_.metric(*mesh_);
   return result;
+}
+
+Tensor ProxyTask::loss(SuperMesh& mesh, bool validation) {
+  const std::int64_t items = begin_step_items(validation);
+  return loss_shard(mesh, validation, 0, items, items);
 }
 
 MatrixFitTask::MatrixFitTask(int tiles, std::uint64_t seed)
@@ -289,31 +275,15 @@ void MatrixFitTask::bind(SuperMesh& mesh) {
   }
 }
 
-Tensor MatrixFitTask::loss(SuperMesh& mesh, bool validation) {
-  (void)validation;  // same targets for both splits in the synthetic proxy
-  Tensor total = Tensor::scalar(0.0f);
-  for (int t = 0; t < tiles_; ++t) {
-    CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
-    CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
-    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
-    const std::int64_t k = mesh.k();
-    CxTensor us = ag::cscale(
-        u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));
-    CxTensor w = ag::cmatmul(us, v);
-    Tensor err = ag::sub(w.re, targets_[static_cast<std::size_t>(t)]);
-    total = ag::add(total, ag::mean(ag::square(err)));
-  }
-  return ag::mul_scalar(total, 1.0f / static_cast<float>(tiles_));
-}
-
 Tensor MatrixFitTask::loss_shard(SuperMesh& mesh, bool validation,
                                  std::int64_t lo, std::int64_t hi,
                                  std::int64_t items) {
-  (void)validation;
+  (void)validation;  // same targets for both splits in the synthetic proxy
   Tensor total = Tensor::scalar(0.0f);
   for (std::int64_t t = lo; t < hi; ++t) {
     CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
     CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
+    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
     const std::int64_t k = mesh.k();
     CxTensor us = ag::cscale(
         u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));
@@ -346,9 +316,12 @@ double MatrixFitTask::metric(SuperMesh& mesh) {
 SearchResult run_search_data_parallel(
     const SearchConfig& config,
     const std::function<std::unique_ptr<ProxyTask>()>& make_task, int ranks) {
-  const int world = comm::resolve_ranks(ranks);
+  if (!comm::use_rank_group(ranks)) {
+    std::unique_ptr<ProxyTask> task = make_task();
+    return AdeptSearcher(config, *task).run();
+  }
   SearchResult out;
-  comm::run_ranks(world, [&](comm::Communicator& c) {
+  comm::run_ranks(comm::resolve_ranks(ranks), [&](comm::Communicator& c) {
     // Each rank replays the identical deterministic construction; only the
     // shard ownership inside run() differs across ranks.
     std::unique_ptr<ProxyTask> task = make_task();

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "autograd/tensor.h"
@@ -32,41 +31,35 @@ namespace adept::core {
 
 // A differentiable training task driving the search. Implementations own the
 // per-tile weights (phases Phi, diagonals Sigma, plus any classifier
-// parameters) and build their loss through SuperMesh::tile_unitary.
+// parameters) and build their loss through SuperMesh::tile_unitary, per
+// step and per item range (the shard API below).
 class ProxyTask {
  public:
   virtual ~ProxyTask() = default;
   // Called once before training so the task can size its weights.
   virtual void bind(SuperMesh& mesh) = 0;
-  // Build the loss for the current step (begin_step was already called).
-  // `validation` distinguishes the bilevel split (weights vs architecture).
-  virtual ag::Tensor loss(SuperMesh& mesh, bool validation) = 0;
+  // loss_shard over [0, begin_step_items(validation)): the whole loss of a
+  // freshly pinned step, for tests and metrics. The search never calls it;
+  // it is virtual only for forwarding wrappers.
+  virtual ag::Tensor loss(SuperMesh& mesh, bool validation);
   // Task-owned trainable parameters.
   virtual std::vector<ag::Tensor> weights() = 0;
   // Optional scalar quality metric for traces (higher is better).
   virtual double metric(SuperMesh& mesh) { (void)mesh; return 0.0; }
 
-  // ---- optional micro-shard support (data-parallel search, src/comm) ----
-  // A sharding task splits each step's loss into per-item-range shard
-  // losses whose sum equals the step loss; AdeptSearcher::run(comm) then
-  // distributes the shards over ranks with the fixed reduction order of
-  // comm/sharded.h (results are bit-identical at any rank count).
-  virtual bool supports_sharding() const { return false; }
+  // ---- shard API: every search step goes through it ----
+  // Every task shards; virtual only for forwarding wrappers.
+  virtual bool supports_sharding() const { return true; }
   // Draw/pin this step's items — called exactly once per step on EVERY rank
   // (so any task-internal rng advances identically) — and return the item
-  // count to shard over.
-  virtual std::int64_t begin_step_items(bool validation) {
-    (void)validation;
-    return 0;
-  }
+  // count to shard over. `validation` picks the bilevel split (weights vs
+  // architecture).
+  virtual std::int64_t begin_step_items(bool validation) = 0;
   // Loss over items [lo, hi) of the pinned step data, scaled by 1/items so
   // the shard losses of one step sum to the step's full (mean) loss.
   virtual ag::Tensor loss_shard(SuperMesh& mesh, bool validation,
                                 std::int64_t lo, std::int64_t hi,
-                                std::int64_t items) {
-    (void)mesh, (void)validation, (void)lo, (void)hi, (void)items;
-    throw std::logic_error("ProxyTask: loss_shard not implemented");
-  }
+                                std::int64_t items) = 0;
   // Width of the per-shard auxiliary stat row (order-dependent state the
   // task must replay in shard order — BatchNorm running stats); 0 = none.
   virtual std::int64_t stat_slots() const { return 0; }
@@ -120,14 +113,16 @@ class AdeptSearcher {
  public:
   AdeptSearcher(const SearchConfig& config, ProxyTask& task);
 
-  // comm == nullptr: the single-process path (unchanged numerics).
-  // comm != nullptr: the micro-shard data-parallel path — each rank must own
-  // its own AdeptSearcher + task replica built from the same config/seed
-  // (see run_search_data_parallel); gradients are allreduced through the
-  // stepped optimizer's pre-step hook. Bit-identical results at any world
-  // size in {1, 2, 4, 8} — note world 1 still runs the sharded numerics,
-  // which differ from the nullptr path (a different but equally
-  // deterministic summation order).
+  // One step body: a backward per owned loss_shard, combined in the fixed
+  // tree of comm/sharded.h, plus a separate backward for the ALM + footprint
+  // penalties.
+  //   comm == nullptr: world 1, rank 0, one shard over all of a step's
+  //     items, no collective.
+  //   comm != nullptr: comm::shard_count(items) micro-shards per step,
+  //     allreduced through the stepped optimizer's pre-step hook. Each rank
+  //     owns an AdeptSearcher + task replica built from the same config/seed
+  //     (see run_search_data_parallel). Bit-identical at any world size in
+  //     {1, 2, 4, 8}, and to the nullptr run when every step has one item.
   SearchResult run(comm::Communicator* comm = nullptr);
   SuperMesh& mesh() { return *mesh_; }
   const SearchConfig& config() const { return config_; }
@@ -139,12 +134,12 @@ class AdeptSearcher {
   adept::Rng rng_;
 };
 
-// Data-parallel search entry point: spawns `ranks` in-process rank threads
-// (0 = resolve the ADEPT_RANKS knob), builds one task replica per rank with
-// `make_task` (replicas must be deterministic functions of their
-// construction — same datasets, same seeds), runs the sharded search on
-// each, and returns rank 0's result. With ranks resolving to 1 this still
-// runs the sharded path so results are comparable across rank counts.
+// Search entry point. When comm::use_rank_group(ranks) holds it spawns
+// comm::resolve_ranks(ranks) in-process rank threads, builds one task
+// replica per rank with `make_task` (replicas must be deterministic
+// functions of their construction — same datasets, same seeds), and returns
+// rank 0's result; otherwise it runs the one-shard search on the calling
+// thread. An explicit ranks = 1 gives the data-parallel numerics on one rank.
 SearchResult run_search_data_parallel(
     const SearchConfig& config,
     const std::function<std::unique_ptr<ProxyTask>()>& make_task,
@@ -157,12 +152,10 @@ class MatrixFitTask : public ProxyTask {
  public:
   MatrixFitTask(int tiles, std::uint64_t seed);
   void bind(SuperMesh& mesh) override;
-  ag::Tensor loss(SuperMesh& mesh, bool validation) override;
   std::vector<ag::Tensor> weights() override;
   double metric(SuperMesh& mesh) override;  // negative MSE
 
-  // Micro-shard support: tiles are the shard items.
-  bool supports_sharding() const override { return true; }
+  // Tiles are the shard items.
   std::int64_t begin_step_items(bool validation) override {
     (void)validation;
     return tiles_;

@@ -22,8 +22,8 @@ using ag::Tensor;
 namespace {
 
 // The cosine schedule must span the GLOBAL step count, derived from the
-// dataset itself, so every rank of a data-parallel run (and the legacy loop)
-// anneals identically no matter how its local loader is shaped.
+// dataset itself, so every rank of a data-parallel run anneals identically
+// no matter how its local loader is shaped.
 int global_steps_per_epoch(const data::SyntheticDataset& train_set,
                            const TrainConfig& config) {
   return (train_set.size() + config.batch_size - 1) / config.batch_size;
@@ -66,9 +66,9 @@ void replay_bn_rows(const std::vector<BatchNorm2d*>& bns, const float* rows,
   }
 }
 
-// Variation-aware noise in the sharded path is a pure function of
-// (step, shard): each shard forward re-arms the drift streams, so the noise
-// a sample sees never depends on how many forwards this rank ran before.
+// Variation-aware training noise is a pure function of (step, shard): each
+// shard forward re-arms the drift streams, so the noise a sample sees never
+// depends on how many forwards this rank ran before.
 std::uint64_t shard_noise_seed(std::uint64_t seed, int step, int shard) {
   const std::uint64_t tag =
       static_cast<std::uint64_t>(step) * (comm::kMaxShards + 1) +
@@ -76,10 +76,166 @@ std::uint64_t shard_noise_seed(std::uint64_t seed, int step, int shard) {
   return (seed ^ 0xbeefULL) + 0x9e3779b97f4a7c15ULL * tag;
 }
 
-TrainStats train_classifier_ranked(OnnModel& model,
-                                   const data::SyntheticDataset& train_set,
-                                   const data::SyntheticDataset& test_set,
-                                   const TrainConfig& config, int world) {
+// Turns on BatchNorm stat capture for the loop and restores each layer's
+// previous flag on every exit, a throw included, so a failed call never
+// leaves the caller's model capturing.
+class StatCaptureScope {
+ public:
+  explicit StatCaptureScope(const std::vector<BatchNorm2d*>& bns) : bns_(bns) {
+    for (auto* bn : bns_) {
+      was_.push_back(bn->stat_capture());
+      bn->set_stat_capture(true);
+    }
+  }
+  ~StatCaptureScope() {
+    for (std::size_t i = 0; i < bns_.size(); ++i) {
+      bns_[i]->set_stat_capture(was_[i]);
+    }
+  }
+  StatCaptureScope(const StatCaptureScope&) = delete;
+  StatCaptureScope& operator=(const StatCaptureScope&) = delete;
+
+ private:
+  std::vector<BatchNorm2d*> bns_;
+  std::vector<bool> was_;
+};
+
+// The training loop every train_classifier call takes. `c` is this rank's
+// communicator in a rank group; nullptr runs single-process, as world 1,
+// rank 0 with one shard per step and no collective. Stats are filled on
+// rank 0 only.
+TrainStats train_loop(OnnModel& model, const data::SyntheticDataset& train_set,
+                      const data::SyntheticDataset& test_set,
+                      const TrainConfig& config, comm::Communicator* c) {
+  const int rank = c != nullptr ? c->rank() : 0;
+  const int world = c != nullptr ? c->world_size() : 1;
+  const int total_steps =
+      config.epochs * global_steps_per_epoch(train_set, config);
+  std::vector<BatchNorm2d*> bns = collect_bn_layers(model);
+  const std::int64_t stat_cols = bn_stat_cols(bns);
+  StatCaptureScope capture(bns);
+
+  adept::Rng rng(config.seed);  // shared seed -> identical shuffles
+  data::DataLoader loader(train_set, config.batch_size);
+  optim::Adam opt(model.parameters(), config.lr, 0.9, 0.999, 1e-8,
+                  config.weight_decay);
+  optim::CosineLr schedule(config.lr, total_steps);
+
+  comm::ShardedGradReducer* cur_reducer = nullptr;
+  std::vector<double> step_scalars;
+  opt.set_pre_step_hook([&] { step_scalars = cur_reducer->finish(c); });
+
+  // Telemetry: histogram/counter/gauges on rank 0 only so the recorded
+  // counts do not depend on the world size; spans on every rank so
+  // per-rank skew shows up in the trace.
+  obs::Histogram& h_epoch_us = obs::histogram("train.epoch_us");
+  obs::Gauge& g_loss = obs::gauge("train.loss");
+  obs::Gauge& g_acc = obs::gauge("train.accuracy");
+  obs::Counter& epochs_total = obs::counter("train.epochs");
+  static const obs::TraceId t_epoch = obs::intern_name("train.epoch");
+  static const obs::TraceId t_step = obs::intern_name("train.step");
+  static const obs::TraceId t_forward = obs::intern_name("train.forward");
+  static const obs::TraceId t_backward = obs::intern_name("train.backward");
+  static const obs::TraceId t_optimizer = obs::intern_name("train.optimizer");
+  static const obs::TraceId t_evaluate = obs::intern_name("train.evaluate");
+
+  TrainStats stats;
+  int step = 0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    obs::TraceSpan epoch_span(t_epoch);
+    obs::ScopedTimerUs epoch_timer(rank == 0 ? &h_epoch_us : nullptr);
+    model.set_training(true);
+    loader.shuffle(rng);
+    double epoch_loss = 0.0;
+    const int nb = loader.batches_per_epoch();
+    for (int b = 0; b < nb; ++b) {
+      obs::TraceSpan step_span(t_step);
+      if (config.cosine_lr) opt.set_lr(schedule.at(step));
+      // Every rank assembles the full step batch (cheap, keeps the rng
+      // streams identical) and computes only its owned shards.
+      data::Batch batch = loader.batch(b);
+      const auto n = static_cast<std::int64_t>(batch.labels.size());
+      const int shards = comm::step_shard_count(n, c);
+      comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
+      std::vector<float> stat_rows(
+          static_cast<std::size_t>(shards) * static_cast<std::size_t>(stat_cols),
+          0.0f);
+      for (int s = 0; s < shards; ++s) {
+        if (comm::shard_owner(s, shards, world) != rank) continue;
+        Tensor loss;
+        {
+          obs::TraceSpan forward_span(t_forward);
+          opt.zero_grad();
+          if (config.train_phase_noise > 0.0) {
+            model.set_phase_noise(config.train_phase_noise,
+                                  shard_noise_seed(config.seed, step, s));
+          }
+          const auto r = comm::shard_range(n, s, shards);
+          data::Batch sb = data::slice_batch(batch, r.lo, r.hi);
+          Tensor logits = model.net->forward(sb.images);
+          // Scale the shard mean so the shard losses of the step sum to the
+          // full-batch mean loss.
+          loss = ag::mul_scalar(
+              cross_entropy_loss(logits, sb.labels),
+              static_cast<float>(r.hi - r.lo) / static_cast<float>(n));
+        }
+        obs::TraceSpan backward_span(t_backward);
+        loss.backward();
+        reducer.add_shard({static_cast<double>(loss.item())});
+        if (stat_cols > 0) {
+          capture_bn_row(bns, stat_rows.data() +
+                                  static_cast<std::size_t>(s) *
+                                      static_cast<std::size_t>(stat_cols));
+        }
+      }
+      {
+        obs::TraceSpan optimizer_span(t_optimizer);
+        cur_reducer = &reducer;
+        opt.step();  // pre-step hook reduces grads + loss (across ranks)
+        cur_reducer = nullptr;
+        if (stat_cols > 0) {
+          // Rows are zero except at their owner, so the sum IS the gather;
+          // every rank replays the identical bits in shard order.
+          if (c != nullptr) {
+            c->allreduce_sum(stat_rows.data(),
+                             static_cast<std::int64_t>(stat_rows.size()));
+          }
+          replay_bn_rows(bns, stat_rows.data(), shards, stat_cols);
+        }
+      }
+      epoch_loss += step_scalars.empty() ? 0.0 : step_scalars[0];
+      ++step;
+    }
+    stats.train_loss_per_epoch.push_back(epoch_loss / std::max(1, nb));
+    if (rank == 0) {
+      obs::TraceSpan evaluate_span(t_evaluate);
+      stats.test_accuracy_per_epoch.push_back(
+          evaluate_accuracy(model, test_set));
+      epochs_total.inc();
+      g_loss.set(stats.train_loss_per_epoch.back());
+      g_acc.set(stats.test_accuracy_per_epoch.back());
+      if (config.verbose) {
+        std::printf("  epoch %d: loss %.4f acc %.4f\n", epoch,
+                    stats.train_loss_per_epoch.back(),
+                    stats.test_accuracy_per_epoch.back());
+      }
+    }
+  }
+  stats.final_accuracy = stats.test_accuracy_per_epoch.empty()
+                             ? 0.0
+                             : stats.test_accuracy_per_epoch.back();
+  return stats;
+}
+
+}  // namespace
+
+TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train_set,
+                            const data::SyntheticDataset& test_set,
+                            const TrainConfig& config) {
+  if (!comm::use_rank_group(config.ranks)) {
+    return train_loop(model, train_set, test_set, config, nullptr);
+  }
+  const int world = comm::resolve_ranks(config.ranks);
   std::string bytes;
   if (world > 1) {
     try {
@@ -93,9 +249,6 @@ TrainStats train_classifier_ranked(OnnModel& model,
           "); freeze searched layers to a fixed PtcTopology first");
     }
   }
-  const int steps_per_epoch = global_steps_per_epoch(train_set, config);
-  const int total_steps = config.epochs * steps_per_epoch;
-
   TrainStats stats;
   comm::run_ranks(world, [&](comm::Communicator& c) {
     // Rank 0 trains the caller's model in place; the others train
@@ -107,176 +260,9 @@ TrainStats train_classifier_ranked(OnnModel& model,
       clone = runtime::decode_checkpoint(bytes);
       m = &clone->model;
     }
-    std::vector<BatchNorm2d*> bns = collect_bn_layers(*m);
-    const std::int64_t stat_cols = bn_stat_cols(bns);
-    for (auto* bn : bns) bn->set_stat_capture(true);
-
-    adept::Rng rng(config.seed);  // shared seed -> identical shuffles
-    data::DataLoader loader(train_set, config.batch_size);
-    optim::Adam opt(m->parameters(), config.lr, 0.9, 0.999, 1e-8,
-                    config.weight_decay);
-    optim::CosineLr schedule(config.lr, total_steps);
-
-    comm::ShardedGradReducer* cur_reducer = nullptr;
-    std::vector<double> step_scalars;
-    opt.set_pre_step_hook(
-        [&] { step_scalars = cur_reducer->finish(c); });
-
-    // Per-epoch telemetry: histogram/counter/gauges on rank 0 only so the
-    // recorded counts match the single-rank path regardless of world size;
-    // spans on every rank so per-rank skew shows up in the trace.
-    obs::Histogram& h_epoch_us = obs::histogram("train.epoch_us");
-    obs::Gauge& g_loss = obs::gauge("train.loss");
-    obs::Gauge& g_acc = obs::gauge("train.accuracy");
-    obs::Counter& epochs_total = obs::counter("train.epochs");
-    static const obs::TraceId t_epoch = obs::intern_name("train.epoch");
-
-    TrainStats local;
-    int step = 0;
-    for (int epoch = 0; epoch < config.epochs; ++epoch) {
-      obs::TraceSpan epoch_span(t_epoch);
-      obs::ScopedTimerUs epoch_timer(c.rank() == 0 ? &h_epoch_us : nullptr);
-      m->set_training(true);
-      loader.shuffle(rng);
-      double epoch_loss = 0.0;
-      const int nb = loader.batches_per_epoch();
-      for (int b = 0; b < nb; ++b) {
-        if (config.cosine_lr) opt.set_lr(schedule.at(step));
-        // Every rank assembles the full step batch (cheap, keeps the rng
-        // streams identical) and computes only its owned micro-shards.
-        data::Batch batch = loader.batch(b);
-        const auto n = static_cast<std::int64_t>(batch.labels.size());
-        const int shards = comm::shard_count(n);
-        comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
-        std::vector<float> stat_rows(
-            static_cast<std::size_t>(shards) *
-                static_cast<std::size_t>(stat_cols),
-            0.0f);
-        for (int s = 0; s < shards; ++s) {
-          if (comm::shard_owner(s, shards, c.world_size()) != c.rank()) {
-            continue;
-          }
-          opt.zero_grad();
-          if (config.train_phase_noise > 0.0) {
-            m->set_phase_noise(config.train_phase_noise,
-                               shard_noise_seed(config.seed, step, s));
-          }
-          const auto r = comm::shard_range(n, s, shards);
-          data::Batch sb = data::slice_batch(batch, r.lo, r.hi);
-          Tensor logits = m->net->forward(sb.images);
-          // Scale the shard mean so the shard losses of the step sum to the
-          // full-batch mean loss.
-          Tensor loss = ag::mul_scalar(
-              cross_entropy_loss(logits, sb.labels),
-              static_cast<float>(r.hi - r.lo) / static_cast<float>(n));
-          loss.backward();
-          reducer.add_shard({static_cast<double>(loss.item())});
-          if (stat_cols > 0) {
-            capture_bn_row(bns, stat_rows.data() +
-                                    static_cast<std::size_t>(s) *
-                                        static_cast<std::size_t>(stat_cols));
-          }
-        }
-        cur_reducer = &reducer;
-        opt.step();  // pre-step hook allreduces grads + loss across ranks
-        cur_reducer = nullptr;
-        if (stat_cols > 0) {
-          // Rows are zero except at their owner, so the sum IS the gather;
-          // every rank replays the identical bits in shard order.
-          c.allreduce_sum(stat_rows.data(),
-                          static_cast<std::int64_t>(stat_rows.size()));
-          replay_bn_rows(bns, stat_rows.data(), shards, stat_cols);
-        }
-        epoch_loss += step_scalars.empty() ? 0.0 : step_scalars[0];
-        ++step;
-      }
-      local.train_loss_per_epoch.push_back(epoch_loss / std::max(1, nb));
-      if (c.rank() == 0) {
-        local.test_accuracy_per_epoch.push_back(
-            evaluate_accuracy(*m, test_set));
-        epochs_total.inc();
-        g_loss.set(local.train_loss_per_epoch.back());
-        g_acc.set(local.test_accuracy_per_epoch.back());
-        if (config.verbose) {
-          std::printf("  epoch %d: loss %.4f acc %.4f\n", epoch,
-                      local.train_loss_per_epoch.back(),
-                      local.test_accuracy_per_epoch.back());
-        }
-      }
-    }
-    for (auto* bn : bns) bn->set_stat_capture(false);
-    if (c.rank() == 0) {
-      local.final_accuracy = local.test_accuracy_per_epoch.empty()
-                                 ? 0.0
-                                 : local.test_accuracy_per_epoch.back();
-      stats = std::move(local);
-    }
+    TrainStats local = train_loop(*m, train_set, test_set, config, &c);
+    if (c.rank() == 0) stats = std::move(local);
   });
-  return stats;
-}
-
-}  // namespace
-
-TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train_set,
-                            const data::SyntheticDataset& test_set,
-                            const TrainConfig& config) {
-  const int world = comm::resolve_ranks(config.ranks);
-  if (world > 1 || config.data_parallel) {
-    return train_classifier_ranked(model, train_set, test_set, config, world);
-  }
-  adept::Rng rng(config.seed);
-  data::DataLoader loader(train_set, config.batch_size);
-  optim::Adam opt(model.parameters(), config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
-  const int total_steps = config.epochs * global_steps_per_epoch(train_set, config);
-  optim::CosineLr schedule(config.lr, total_steps);
-  if (config.train_phase_noise > 0.0) {
-    model.set_phase_noise(config.train_phase_noise, config.seed ^ 0xbeef);
-  }
-
-  obs::Histogram& h_epoch_us = obs::histogram("train.epoch_us");
-  obs::Gauge& g_loss = obs::gauge("train.loss");
-  obs::Gauge& g_acc = obs::gauge("train.accuracy");
-  obs::Counter& epochs_total = obs::counter("train.epochs");
-  static const obs::TraceId t_epoch = obs::intern_name("train.epoch");
-
-  TrainStats stats;
-  int step = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    obs::TraceSpan epoch_span(t_epoch);
-    obs::ScopedTimerUs epoch_timer(h_epoch_us);
-    model.set_training(true);
-    loader.shuffle(rng);
-    double epoch_loss = 0.0;
-    const int nb = loader.batches_per_epoch();
-    for (int b = 0; b < nb; ++b) {
-      if (config.cosine_lr) opt.set_lr(schedule.at(step));
-      data::Batch batch = loader.batch(b);
-      Tensor logits = model.net->forward(batch.images);
-      Tensor loss = cross_entropy_loss(logits, batch.labels);
-      opt.zero_grad();
-      loss.backward();
-      opt.step();
-      epoch_loss += loss.item();
-      ++step;
-    }
-    stats.train_loss_per_epoch.push_back(epoch_loss / std::max(1, nb));
-    // evaluate_accuracy runs nominally (it pushes sigma to 0 and pops the
-    // full noise state afterwards), so the variation-aware drift stream
-    // armed before the epoch loop keeps advancing across epochs instead of
-    // replaying the same seed every epoch.
-    stats.test_accuracy_per_epoch.push_back(evaluate_accuracy(model, test_set));
-    epochs_total.inc();
-    g_loss.set(stats.train_loss_per_epoch.back());
-    g_acc.set(stats.test_accuracy_per_epoch.back());
-    if (config.verbose) {
-      std::printf("  epoch %d: loss %.4f acc %.4f\n", epoch,
-                  stats.train_loss_per_epoch.back(),
-                  stats.test_accuracy_per_epoch.back());
-    }
-  }
-  stats.final_accuracy = stats.test_accuracy_per_epoch.empty()
-                             ? 0.0
-                             : stats.test_accuracy_per_epoch.back();
   return stats;
 }
 
@@ -340,14 +326,6 @@ data::Batch OnnProxyTask::next_batch(bool validation) {
     loader.shuffle(rng_);
   }
   return loader.batch(cursor++);
-}
-
-Tensor OnnProxyTask::loss(core::SuperMesh& mesh, bool validation) {
-  (void)mesh;  // topology expressions already cached by begin_step
-  ag::check(bound_, "OnnProxyTask: bind() not called");
-  data::Batch batch = next_batch(validation);
-  Tensor logits = model_.net->forward(batch.images);
-  return cross_entropy_loss(logits, batch.labels);
 }
 
 std::int64_t OnnProxyTask::begin_step_items(bool validation) {

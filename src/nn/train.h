@@ -30,14 +30,11 @@ struct TrainConfig {
   // Variation-aware training noise (0 disables).
   double train_phase_noise = 0.0;
   bool verbose = false;
-  // Data-parallel rank count: 0 resolves the ADEPT_RANKS knob (default 1),
-  // explicit values are clamped by comm::resolve_ranks. With a resolved
-  // world of 1 the legacy single-process loop runs unless data_parallel
-  // forces the sharded numerics (sharded results are bit-identical across
-  // rank counts, but are a different deterministic summation order than the
-  // legacy loop).
+  // Rank request (comm::use_rank_group). 0 trains single-process, one shard
+  // per step, unless ADEPT_RANKS resolves above 1. An explicit count
+  // (clamped to [1, 8]) trains on that many ranks with shard_count(batch)
+  // micro-shards per step, bit-identical at every rank count, 1 included.
   int ranks = 0;
-  bool data_parallel = false;
 };
 
 struct TrainStats {
@@ -64,15 +61,12 @@ class OnnProxyTask : public core::ProxyTask {
                std::uint64_t seed);
 
   void bind(core::SuperMesh& mesh) override;
-  ag::Tensor loss(core::SuperMesh& mesh, bool validation) override;
   std::vector<ag::Tensor> weights() override;
   double metric(core::SuperMesh& mesh) override;  // validation accuracy
 
-  // Micro-shard support (data-parallel search): the shard items are the
-  // samples of the step's batch; BatchNorm running stats go through the
-  // capture/gather/replay protocol (stat row = [mean C | var C] per BN
-  // layer in module order).
-  bool supports_sharding() const override { return true; }
+  // Shard API: the shard items are the samples of the step's batch;
+  // BatchNorm running stats go through the capture/gather/replay protocol
+  // (stat row = [mean C | var C] per BN layer in module order).
   std::int64_t begin_step_items(bool validation) override;
   ag::Tensor loss_shard(core::SuperMesh& mesh, bool validation,
                         std::int64_t lo, std::int64_t hi,

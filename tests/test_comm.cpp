@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/failpoint.h"
 #include "core/search.h"
 #include "data/synthetic.h"
+#include "nn/layers.h"
 #include "nn/train.h"
 #include "photonics/builders.h"
 
@@ -376,7 +378,6 @@ TEST(RankParity, TrainClassifierBitIdenticalAcrossRanks) {
   config.batch_size = 24;
   config.seed = 7;
   config.train_phase_noise = 0.02;
-  config.data_parallel = true;  // world 1 still runs the sharded numerics
 
   auto run_at = [&](int ranks, int threads) {
     be::ThreadScope scope(threads);
@@ -407,6 +408,113 @@ TEST(RankParity, TrainClassifierBitIdenticalAcrossRanks) {
   ASSERT_EQ(s1.final_accuracy, s4t4.final_accuracy);
   ASSERT_EQ(s1.final_accuracy, s2t2.final_accuracy);
   ASSERT_EQ(s1.train_loss_per_epoch, s4.train_loss_per_epoch);
+}
+
+// ---- RankParity: one step body --------------------------------------------
+// A single-process run (no communicator) takes the same step body as a rank
+// group at one shard per step, so whenever every step has one item it must
+// match a 1-rank data-parallel run bit for bit.
+
+// Unsets an environment variable for the scope and restores it afterwards.
+class ScopedUnsetEnv {
+ public:
+  explicit ScopedUnsetEnv(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+    unsetenv(name);
+  }
+  ~ScopedUnsetEnv() {
+    if (saved_) setenv(name_, saved_->c_str(), 1);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(RankParity, SingleProcessSearchMatchesOneRankAtOneItem) {
+  auto config = parity_search_config();
+  config.epochs = 3;
+  config.steps_per_epoch = 10;
+  // One tile per step: shard_count(1) == 1, so both runs take one shard.
+  auto make_task = [] {
+    return std::make_unique<core::MatrixFitTask>(/*tiles=*/1, /*seed=*/5);
+  };
+  auto task = make_task();
+  const auto single = core::AdeptSearcher(config, *task).run();
+  const auto ranked = core::run_search_data_parallel(config, make_task, 1);
+  ASSERT_EQ(single.trace.task_loss, ranked.trace.task_loss);
+  ASSERT_EQ(single.trace.alm_lambda, ranked.trace.alm_lambda);
+  ASSERT_EQ(single.trace.alm_rho, ranked.trace.alm_rho);
+  ASSERT_EQ(single.trace.permutation_error, ranked.trace.permutation_error);
+  ASSERT_EQ(single.trace.expected_footprint, ranked.trace.expected_footprint);
+  ASSERT_EQ(single.trace.footprint_penalty, ranked.trace.footprint_penalty);
+  ASSERT_EQ(single.final_metric, ranked.final_metric);
+  ASSERT_EQ(single.topology.footprint_um2(config.footprint.pdk),
+            ranked.topology.footprint_um2(config.footprint.pdk));
+}
+
+TEST(RankParity, SingleProcessTrainingMatchesOneRankAtBatchOne) {
+  // Batch 1: every step is one shard in both runs. Phase noise on, so the
+  // per-(step, shard) re-arm must also match.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 12, 4);
+  data::SyntheticDataset test(spec, 8, 5);
+  nn::TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 1;
+  config.seed = 7;
+  config.train_phase_noise = 0.02;
+
+  ScopedUnsetEnv no_ranks("ADEPT_RANKS");
+  auto run_at = [&](int ranks) {
+    auto model = parity_model(31);
+    auto cfg = config;
+    cfg.ranks = ranks;
+    const auto stats = nn::train_classifier(model, train, test, cfg);
+    return std::make_pair(model.parameters(), stats);
+  };
+  auto [p0, s0] = run_at(0);
+  auto [p1, s1] = run_at(1);
+  ASSERT_EQ(p0.size(), p1.size());
+  for (std::size_t i = 0; i < p0.size(); ++i) {
+    const auto& a = p0[i].data();
+    const auto& b = p1[i].data();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      ASSERT_EQ(a[j], b[j]) << "param " << i << " elem " << j;
+    }
+  }
+  ASSERT_EQ(s0.train_loss_per_epoch, s1.train_loss_per_epoch);
+  ASSERT_EQ(s0.final_accuracy, s1.final_accuracy);
+}
+
+TEST(RankParity, FailedTrainingRestoresBatchNormStatCapture) {
+  // A collective failure mid-training must not leave the caller's model
+  // capturing BatchNorm stats: its later training forwards would then never
+  // update the running stats.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 16, 4);
+  data::SyntheticDataset test(spec, 8, 5);
+  auto model = parity_model(31);
+  std::vector<nn::BatchNorm2d*> bns;
+  for (const auto& m : nn::flatten_modules(model.net)) {
+    if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(m.get())) bns.push_back(bn);
+  }
+  ASSERT_FALSE(bns.empty());
+  nn::TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 8;
+  config.ranks = 2;
+  {
+    adept::failpoint::Scoped fp("comm.allreduce", "throw");
+    EXPECT_THROW(nn::train_classifier(model, train, test, config),
+                 adept::failpoint::Injected);
+  }
+  for (auto* bn : bns) EXPECT_FALSE(bn->stat_capture());
 }
 
 TEST(RankParity, RankedTrainingStillLearns) {

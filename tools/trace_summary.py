@@ -8,7 +8,8 @@ alongside, and can assert that specific span families are present — the CI
 telemetry smoke step uses both:
 
     trace_summary.py trace.json --metrics metrics.json \
-        --require serve.request --require plan. --require comm.allreduce
+        --require serve.request --require plan. --require comm.allreduce \
+        --require train.step
 
 Exit codes: 0 ok, 1 malformed input, 2 a --require substring matched no
 span name.
