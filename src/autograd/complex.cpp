@@ -273,7 +273,7 @@ CxTensor colphase_scale(const CxTensor& a, const Tensor& phi) {
                 }
                 d[j] += static_cast<float>(acc);
               },
-              /*grain=*/1);
+              /*grain=*/1, 3 * n * be::kElemCost);
         }
       });
   Tensor im = make_op(
@@ -304,7 +304,7 @@ CxTensor colphase_scale(const CxTensor& a, const Tensor& phi) {
                 }
                 d[j] += static_cast<float>(acc);
               },
-              /*grain=*/1);
+              /*grain=*/1, 3 * n * be::kElemCost);
         }
       });
   return {re, im};
@@ -353,7 +353,7 @@ CxTensor block_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) {
                 }
                 d[j] += static_cast<float>(acc);
               },
-              /*grain=*/1);
+              /*grain=*/1, 4 * k * be::kElemCost);
         }
         if (!p.requires_grad() && !tr.requires_grad() && !ti.requires_grad()) {
           return;
@@ -660,7 +660,7 @@ CxTensor bcolphase_scale(const CxTensor& a, const Tensor& phi) {
                   }
                   dphi[ti * m + j] += static_cast<float>(acc);
                 },
-                /*grain=*/1);
+                /*grain=*/1, 3 * n * be::kElemCost);
           }
           // RE-plane contributions.
           if (dar != nullptr) {
@@ -684,7 +684,7 @@ CxTensor bcolphase_scale(const CxTensor& a, const Tensor& phi) {
                   }
                   dphi[ti * m + j] += static_cast<float>(acc);
                 },
-                /*grain=*/1);
+                /*grain=*/1, 3 * n * be::kElemCost);
           }
         }
       });
@@ -776,7 +776,7 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
                   }
                   dphi[t2 * k + j] += static_cast<float>(acc);
                 },
-                /*grain=*/1);
+                /*grain=*/1, 6 * k * be::kElemCost);
           }
           if (!pt_grad) continue;
           // Chain through this tile's column phase: G_PT = G * e^{+i phi_j}.

@@ -346,7 +346,8 @@ Tensor transpose(const Tensor& a) {
       m, [=](std::int64_t j) {
         for (std::int64_t i = 0; i < n; ++i) op[j * n + i] = ad[i * m + j];
       },
-      /*grain=*/std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(n, 1)));
+      /*grain=*/std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(n, 1)),
+      n * be::kElemCost);
   return make_op(std::move(out), {m, n}, {a}, [a, n, m](TensorImpl& o) {
     if (!a.requires_grad()) return;
     auto& ga = const_cast<Tensor&>(a).grad();
@@ -356,7 +357,8 @@ Tensor transpose(const Tensor& a) {
         n, [=](std::int64_t i) {
           for (std::int64_t j = 0; j < m; ++j) gap[i * m + j] += gp[j * n + i];
         },
-        /*grain=*/std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(m, 1)));
+        /*grain=*/std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(m, 1)),
+        m * be::kElemCost);
   });
 }
 
@@ -430,7 +432,7 @@ Tensor row_sum(const Tensor& a) {
         for (std::int64_t j = 0; j < m; ++j) acc += ad[i * m + j];
         op[i] = static_cast<float>(acc);
       },
-      row_grain);
+      row_grain, m * be::kElemCost);
   return make_op(std::move(out), {n, 1}, {a}, [a, n, m, row_grain](TensorImpl& o) {
     if (!a.requires_grad()) return;
     auto& ga = const_cast<Tensor&>(a).grad();
@@ -442,7 +444,7 @@ Tensor row_sum(const Tensor& a) {
           const float g = gp[i];
           for (std::int64_t j = 0; j < m; ++j) gap[i * m + j] += g;
         },
-        row_grain);
+        row_grain, m * be::kElemCost);
   });
 }
 
@@ -483,7 +485,7 @@ Tensor tile_col_sum(const Tensor& a) {
             for (std::int64_t j = 0; j < m; ++j) orow[j] += tile[i * m + j];
           }
         },
-        /*grain=*/1);
+        /*grain=*/1, n * m * be::kElemCost);
   }
   return make_op(std::move(out), {t, m}, {a}, [a, t, n, m](TensorImpl& o) {
     if (!a.requires_grad()) return;
@@ -499,7 +501,7 @@ Tensor tile_col_sum(const Tensor& a) {
             for (std::int64_t j = 0; j < m; ++j) gtile[i * m + j] += grow[j];
           }
         },
-        /*grain=*/1);
+        /*grain=*/1, n * m * be::kElemCost);
   });
 }
 
@@ -548,7 +550,7 @@ Tensor bscale_cols(const Tensor& a, const Tensor& s) {
               *dst += gtile[i * m + j] * atile[i * m + j];
             }
           },
-          /*grain=*/1);
+          /*grain=*/1, 2 * n * be::kElemCost);
     }
   });
 }
@@ -591,7 +593,7 @@ Tensor softmax_rows(const Tensor& a) {
             gap[i * m + j] += yp[i * m + j] * (gp[i * m + j] - static_cast<float>(dot));
           }
         },
-        row_grain);
+        row_grain, 2 * m * be::kElemCost);
   });
 }
 
@@ -616,7 +618,7 @@ Tensor log_softmax_rows(const Tensor& a) {
             gap[i * m + j] += gp[i * m + j] - std::exp(yp[i * m + j]) * static_cast<float>(gsum);
           }
         },
-        row_grain);
+        row_grain, 2 * m * be::kElemCost);
   });
 }
 
@@ -738,7 +740,7 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
             }
           }
         },
-        /*grain=*/1);
+        /*grain=*/1, k * k * be::kElemCost);
   }
   return make_op(std::move(out), {rows, cols}, {stacked},
                  [stacked, p, q, k, cols](TensorImpl& o) {
@@ -758,7 +760,7 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
                            }
                          }
                        },
-                       /*grain=*/1);
+                       /*grain=*/1, k * k * be::kElemCost);
                  });
 }
 
@@ -866,7 +868,7 @@ Tensor adaptive_avgpool2d(const Tensor& x, std::int64_t out_h, std::int64_t out_
             }
           }
         },
-        /*grain=*/1);
+        /*grain=*/1, h * w * be::kElemCost);
   }
   return make_op(std::move(out), {n, c, out_h, out_w}, {x},
                  [x, n, c, h, w, out_h, out_w, bin_start, bin_end](TensorImpl& o) {
@@ -892,7 +894,7 @@ Tensor adaptive_avgpool2d(const Tensor& x, std::int64_t out_h, std::int64_t out_
                            }
                          }
                        },
-                       /*grain=*/1);
+                       /*grain=*/1, h * w * be::kElemCost);
                  });
 }
 
@@ -932,7 +934,7 @@ Tensor maxpool2d(const Tensor& x, std::int64_t k, std::int64_t stride) {
             }
           }
         },
-        /*grain=*/1);
+        /*grain=*/1, oh * ow * k * k * be::kElemCost);
   }
   return make_op(std::move(out), {n, c, oh, ow}, {x},
                  [x, argmax, oh, ow](TensorImpl& o) {
@@ -951,7 +953,7 @@ Tensor maxpool2d(const Tensor& x, std::int64_t k, std::int64_t stride) {
                            gxp[amp[i]] += gp[i];
                          }
                        },
-                       /*grain=*/1);
+                       /*grain=*/1, plane * be::kElemCost);
                  });
 }
 
@@ -993,7 +995,7 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           rm[ci] = (1.0f - momentum) * rm[ci] + momentum * static_cast<float>(mu);
           rv[ci] = (1.0f - momentum) * rv[ci] + momentum * static_cast<float>(var);
         },
-        /*grain=*/1);
+        /*grain=*/1, 2 * n * h * w * be::kElemCost);
   } else {
     for (std::int64_t ci = 0; ci < c; ++ci) {
       (*mean_v)[static_cast<std::size_t>(ci)] = running_mean[static_cast<std::size_t>(ci)];
@@ -1019,7 +1021,8 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           float* ob = op + slice * plane;
           for (std::int64_t i = 0; i < plane; ++i) ob[i] = (xb[i] - mu) * is * g + b;
         },
-        /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)));
+        /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)),
+        plane * be::kElemCost);
   }
   return make_op(
       std::move(out), x.shape(), {x, gamma, beta},
@@ -1056,7 +1059,7 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                 sdp[ci] = sd;
                 sxp[ci] = sx;
               },
-              /*grain=*/1);
+              /*grain=*/1, 2 * n * plane * be::kElemCost);
         }
         if (gamma.requires_grad()) {
           auto& gg = const_cast<Tensor&>(gamma).grad();
@@ -1104,7 +1107,8 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   }
                 }
               },
-              /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)));
+              /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)),
+              2 * plane * be::kElemCost);
         }
       });
 }

@@ -37,7 +37,7 @@ inline void scale_row_beta(T beta, std::int64_t n, T* row) {
 template <typename T>
 inline void pack_bt_panel(const T* b, std::int64_t ldb, std::int64_t k0,
                           std::int64_t kc, std::int64_t n, T* bp) {
-  parallel_for(kc, kRowBlock, [=](std::int64_t kk0, std::int64_t kk1) {
+  parallel_for(kc, kRowBlock, n * kElemCost, [=](std::int64_t kk0, std::int64_t kk1) {
     for (std::int64_t j = 0; j < n; ++j) {
       const T* bcol = b + j * ldb + k0;
       for (std::int64_t kk = kk0; kk < kk1; ++kk) bp[kk * n + j] = bcol[kk];
@@ -55,7 +55,7 @@ void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   if (m <= 0 || n <= 0) return;
   auto scale_row = [&](T* crow) { scale_row_beta(beta, n, crow); };
   if (k <= 0) {
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, n * kElemCost, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) scale_row(c + i * ldc);
     });
     return;
@@ -83,7 +83,7 @@ void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
       bpanel = bpack;
       bstride = n;
     }
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 2 * kc * n, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         T* crow = c + i * ldc;
         if (k0 == 0) scale_row(crow);
@@ -118,7 +118,7 @@ void cgemm_impl(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
     scale_row_beta(beta, n, irow);
   };
   if (k <= 0) {
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 2 * n * kElemCost, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) scale_row(cr + i * ldc, ci + i * ldc);
     });
     return;
@@ -139,7 +139,7 @@ void cgemm_impl(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
       float* pr = bpack;
       float* pi = bpack + kc * n;
       const float isign = tb == CTrans::H ? -1.0f : 1.0f;
-      parallel_for(kc, kRowBlock, [=](std::int64_t kk0, std::int64_t kk1) {
+      parallel_for(kc, kRowBlock, 2 * n * kElemCost, [=](std::int64_t kk0, std::int64_t kk1) {
         for (std::int64_t j = 0; j < n; ++j) {
           const float* rcol = br + j * ldb + k0;
           const float* icol = bi + j * ldb + k0;
@@ -153,7 +153,7 @@ void cgemm_impl(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
       bpi = bpack + kc * n;
       bstride = n;
     }
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 8 * kc * n, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         float* crow = cr + i * ldc;
         float* cirow = ci + i * ldc;
@@ -277,7 +277,7 @@ void gemm_s8s8s32(std::int64_t m, std::int64_t n, std::int64_t k,
   // Scalar reference: ikj with int32 accumulation in C. Integer adds are
   // associative, so any tiling/threading of the same products matches this
   // bit for bit — the parity anchor for the SIMD drivers.
-  parallel_for(m, kRowBlock, [=](std::int64_t i0, std::int64_t i1) {
+  parallel_for(m, kRowBlock, 2 * k * n, [=](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       std::int32_t* crow = c + i * ldc;
       for (std::int64_t j = 0; j < n; ++j) crow[j] = 0;
@@ -383,7 +383,8 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
     auto split = [](const std::complex<double>* src, std::int64_t rows,
                     std::int64_t cols, std::int64_t ld, double* re,
                     double* im) {
-      parallel_for(rows, kRowBlock, [=](std::int64_t i0, std::int64_t i1) {
+      const std::int64_t cost = 2 * cols * kElemCost;
+      parallel_for(rows, kRowBlock, cost, [=](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           const std::complex<double>* srow = src + i * ld;
           double* rrow = re + i * cols;
@@ -403,7 +404,7 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
                     tb == Trans::N ? CTrans::N : CTrans::T, m, n, k, ap,
                     ap + ra * ca, ca, bp, bp + rb * cb, cb, rbeta, cp,
                     cp + m * n, n);
-    parallel_for(m, kRowBlock, [=](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 2 * n * kElemCost, [=](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         std::complex<double>* crow = c + i * ldc;
         const double* rrow = cp + i * n;
@@ -457,14 +458,14 @@ void rcgemm(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
     scale_row_beta(beta, n, irow);
   };
   if (k <= 0) {
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 2 * n * kElemCost, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) scale_row(cr + i * ldc, ci + i * ldc);
     });
     return;
   }
   for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
     const std::int64_t kc = std::min(kKBlock, k - k0);
-    parallel_for(m, kRowBlock, [&](std::int64_t i0, std::int64_t i1) {
+    parallel_for(m, kRowBlock, 4 * kc * n, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         float* crow = cr + i * ldc;
         float* cirow = ci + i * ldc;
@@ -534,7 +535,7 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
     scale_row_beta(beta, n, irow);
   };
   if (k <= 0) {
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
+    parallel_for(rows, kRowBlock, 2 * n * kElemCost, [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         const std::int64_t t = r / m, i = r % m;
         scale_row(cr + t * stride_c + i * ldc, ci + t * stride_c + i * ldc);
@@ -560,7 +561,8 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
     if (pack_b) {
       const float isign = tb == CTrans::H ? -1.0f : 1.0f;
       float* pk = bpack;
-      parallel_for(pack_items * kc, kRowBlock, [=](std::int64_t q0, std::int64_t q1) {
+      const std::int64_t cost = 2 * n * kElemCost;
+      parallel_for(pack_items * kc, kRowBlock, cost, [=](std::int64_t q0, std::int64_t q1) {
         for (std::int64_t q = q0; q < q1; ++q) {
           const std::int64_t item = q / kc, kk = q % kc;
           const float* rb = br + item * stride_b;
@@ -574,7 +576,7 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
         }
       });
     }
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
+    parallel_for(rows, kRowBlock, 8 * kc * n, [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         const std::int64_t t = r / m, i = r % m;
         const float* tar = ar + t * stride_a;
@@ -655,7 +657,7 @@ void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
   }
   const std::int64_t rows = batch * m;
   if (k <= 0) {
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
+    parallel_for(rows, kRowBlock, n * kElemCost, [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         scale_row_beta(beta, n, c + (r / m) * stride_c + (r % m) * ldc);
       }
@@ -681,7 +683,7 @@ void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
       bpanel = bpack;
       bstride = n;
     }
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
+    parallel_for(rows, kRowBlock, 2 * kc * n, [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         const std::int64_t bi = r / m, i = r % m;
         const float* arow = a + bi * stride_a + i * lda + k0;
@@ -704,7 +706,7 @@ void cmul_planar(std::size_t n, const float* ar, const float* ai,
     t->cmul_planar(n, ar, ai, br, bi, outr, outi);
     return;
   }
-  parallel_for(static_cast<std::int64_t>(n), detail::kElemGrain,
+  parallel_for(static_cast<std::int64_t>(n), detail::kElemGrain, 2 * kElemCost,
                [=](std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i) {
                    const float re = ar[i] * br[i] - ai[i] * bi[i];
@@ -719,7 +721,7 @@ void sincos(std::int64_t n, const float* x, float* cos_out, float* sin_out) {
     t->sincos(n, x, cos_out, sin_out);
     return;
   }
-  parallel_for(n, detail::kElemGrain, [=](std::int64_t lo, std::int64_t hi) {
+  parallel_for(n, detail::kElemGrain, 4 * kElemCost, [=](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
       cos_out[i] = std::cos(x[i]);
       sin_out[i] = std::sin(x[i]);
@@ -737,7 +739,7 @@ void softmax_rows(std::int64_t rows, std::int64_t cols, const float* a,
   // the output, double-accumulated normalizer.
   const std::int64_t grain =
       std::max<std::int64_t>(1, 1024 / std::max<std::int64_t>(cols, 1));
-  parallel_for(rows, grain, [=](std::int64_t r0, std::int64_t r1) {
+  parallel_for(rows, grain, 4 * cols * kElemCost, [=](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
       float mx = -std::numeric_limits<float>::infinity();
       for (std::int64_t j = 0; j < cols; ++j) mx = std::max(mx, a[i * cols + j]);
@@ -761,7 +763,7 @@ void log_softmax_rows(std::int64_t rows, std::int64_t cols, const float* a,
   }
   const std::int64_t grain =
       std::max<std::int64_t>(1, 1024 / std::max<std::int64_t>(cols, 1));
-  parallel_for(rows, grain, [=](std::int64_t r0, std::int64_t r1) {
+  parallel_for(rows, grain, 4 * cols * kElemCost, [=](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
       float mx = -std::numeric_limits<float>::infinity();
       for (std::int64_t j = 0; j < cols; ++j) mx = std::max(mx, a[i * cols + j]);
@@ -795,7 +797,8 @@ void im2col_impl(const T* x, std::int64_t n, std::int64_t c, std::int64_t h,
   // One output row per patch; rows are independent, so parallelize there.
   // Zero whole chunks up front (one large fill beats a per-row fill by ~3x),
   // then gather only the in-image taps.
-  parallel_for(rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(cols, 1)),
+  const std::int64_t cost = cols * kElemCost;
+  parallel_for(rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(cols, 1)), cost, 
                [=](std::int64_t r0, std::int64_t r1) {
                  std::fill(out + r0 * cols, out + r1 * cols, T{0});
                  for (std::int64_t row = r0; row < r1; ++row) {
@@ -898,7 +901,7 @@ void col2im(const float* cols_data, std::int64_t n, std::int64_t c,
           }
         }
       },
-      /*grain=*/1);
+      /*grain=*/1, oh * ow * cols * kElemCost);
 }
 
 double reduce_sum(const float* a, std::size_t n) {
@@ -911,7 +914,7 @@ double reduce_sum(const float* a, std::size_t n) {
   }
   const std::int64_t blocks = (total + kBlock - 1) / kBlock;
   std::vector<double> partial(static_cast<std::size_t>(blocks), 0.0);
-  parallel_for(blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
+  parallel_for(blocks, 1, kBlock * kElemCost, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t bi = b0; bi < b1; ++bi) {
       const std::int64_t lo = bi * kBlock;
       const std::int64_t hi = std::min(lo + kBlock, total);

@@ -238,11 +238,13 @@ inline void zip(std::size_t n, const float* a, const float* b, float* out, F f) 
 }
 
 // f(i) for i in [0, n); f must only touch state indexed by i (or otherwise
-// disjoint per index). `grain` tunes chunking for heavier bodies.
+// disjoint per index). Heavier bodies pass a coarser `grain` and their
+// per-index `cost` (see parallel.h).
 template <typename F>
 inline void for_each_index(std::int64_t n, F f,
-                           std::int64_t grain = detail::kElemGrain) {
-  parallel_for(n, grain, [=](std::int64_t b, std::int64_t e) {
+                           std::int64_t grain = detail::kElemGrain,
+                           std::int64_t cost = kElemCost) {
+  parallel_for(n, grain, cost, [=](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) f(i);
   });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstring>
+#include <latch>
 #include <mutex>
 #include <thread>
 
@@ -292,12 +293,15 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
     fn(comm);
     return;
   }
-  // Budget resolved on the caller's thread (it sees any enclosing scope),
-  // then applied per rank so ranks x kernel threads <= num_threads().
-  const int budget = std::max(1, backend::num_threads() / world);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
+  std::latch all_leased(world), all_done(world);
   auto body = [&](int r) {
-    backend::LocalThreadScope scope(budget);
+    // Each rank holds one core of the kernel budget from before any rank
+    // starts until every rank is done, so ranks x kernel threads never
+    // exceed backend::num_threads(): no rank fans out into a core a late
+    // peer is about to take or an early one has just given back.
+    backend::CoreLease lease;
+    all_leased.arrive_and_wait();
     try {
       TreeCommunicator comm(group, r);
       fn(comm);
@@ -305,6 +309,7 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
       errors[static_cast<std::size_t>(r)] = std::current_exception();
       group.abort();
     }
+    all_done.arrive_and_wait();
   };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(world - 1));

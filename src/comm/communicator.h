@@ -27,9 +27,9 @@
 // why N-rank gradients then match 1-rank bit for bit).
 //
 // run_ranks() is the in-process entry point: it spawns `world` rank threads
-// (rank 0 runs on the caller's thread), gives each a per-rank kernel thread
-// budget via backend::LocalThreadScope so ranks x kernel threads never
-// oversubscribes the machine, and turns a throwing rank into a world-wide
+// (rank 0 runs on the caller's thread), has each hold one core of the
+// process-wide kernel budget (backend::CoreLease) so ranks x kernel threads
+// never oversubscribes the machine, and turns a throwing rank into a world-wide
 // abort instead of a deadlock (peers blocked in a collective unblock with
 // AbortedError; the original exception is rethrown to the caller).
 //
@@ -79,8 +79,8 @@ int max_world_size();
 // Resolve a rank-count request to an effective world size.
 //   requested > 0   explicit programmatic request: clamped to [1, kMaxWorld]
 //                   (tests and benches may oversubscribe small machines —
-//                   ranks beyond the core count timeslice; the per-rank
-//                   kernel budget in run_ranks keeps total threads bounded)
+//                   ranks beyond the core count timeslice; their core
+//                   leases keep kernel launches on the rank threads)
 //   requested <= 0  read the ADEPT_RANKS environment knob: clamped to
 //                   [1, max_world_size()]; unset, unparsable, or
 //                   non-positive values fall back to 1
@@ -95,8 +95,9 @@ int resolve_ranks(int requested = 0);
 bool use_rank_group(int requested = 0);
 
 // Run fn(comm) on `world` in-process rank threads and wait for all of them.
-// Rank 0 executes on the calling thread. Each rank runs under a
-// LocalThreadScope of max(1, backend::num_threads() / world) kernel threads.
+// Rank 0 executes on the calling thread. Each rank holds a CoreLease from
+// before any rank starts until all are done, so its kernels fan out only
+// into cores the world leaves free.
 // If any rank throws, the group is aborted (peers unblock with AbortedError)
 // and the lowest-rank non-abort exception is rethrown after the join.
 void run_ranks(int world, const std::function<void(Communicator&)>& fn);

@@ -4,10 +4,13 @@
 // minutes on a laptop; ADEPT_BENCH_* variables scale them toward paper scale.
 //
 // Runtime knobs consumed elsewhere through env_int()/env_string():
-//   ADEPT_NUM_THREADS   worker count for the src/backend kernel layer
-//                       (default: hardware concurrency; 1 = serial fallback —
-//                       backend results are bit-exact across thread counts,
-//                       see backend/parallel.h).
+//   ADEPT_NUM_THREADS   process-wide core budget of the src/backend kernel
+//                       pool (default: hardware concurrency; 1 = serial
+//                       fallback). Rank threads and busy server workers
+//                       each hold one core of it; kernel launches fan out
+//                       only into the free cores and only when their work
+//                       pays for it. Backend results are bit-exact across
+//                       thread counts, see backend/parallel.h.
 //   ADEPT_SIMD          dispatch cap for the SIMD microkernels:
 //                       scalar | avx2 | avx512 (default: best level the
 //                       binary + CPU support; unknown or unavailable values
@@ -24,9 +27,9 @@
 //                       shard_count(items) micro-shards per step, whose
 //                       results are ASSERT_EQ bit-identical to an explicit
 //                       1-rank run at every thread count
-//                       (tests/test_comm.cpp). Each rank gets a kernel
-//                       thread budget of ADEPT_NUM_THREADS / ranks (min 1)
-//                       so ranks x threads never oversubscribes the machine.
+//                       (tests/test_comm.cpp). Each rank thread holds one
+//                       core of the ADEPT_NUM_THREADS budget, so ranks x
+//                       kernel threads never oversubscribes the machine.
 //
 // Serving knobs consumed by runtime::ServerConfig::from_env() (see
 // runtime/server.h; out-of-range values clamp into the supported envelope,

@@ -87,7 +87,7 @@ void quantize_rows(std::int64_t rows, std::int64_t k, const float* x,
   // thread count.
   be::parallel_for(
       rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(k, 1)),
-      [&](std::int64_t i0, std::int64_t i1) {
+      2 * k * be::kElemCost, [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           const float* row = x + i * k;
           const float amax = be::absmax(static_cast<std::size_t>(k), row);
@@ -428,7 +428,7 @@ void CompiledModel::apply(const PlanStep& s, const float* src,
       be::parallel_for(
           batch * s.c,
           std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)),
-          [&, plane](std::int64_t s0, std::int64_t s1) {
+          plane * be::kElemCost, [&, plane](std::int64_t s0, std::int64_t s1) {
             for (std::int64_t slice = s0; slice < s1; ++slice) {
               const std::int64_t ci = slice % s.c;
               const float mu = s.mu[static_cast<std::size_t>(ci)];
@@ -457,7 +457,7 @@ void CompiledModel::apply(const PlanStep& s, const float* src,
     }
     case PlanStep::Kind::maxpool: {
       be::parallel_for(
-          batch * s.c, /*grain=*/1,
+          batch * s.c, /*grain=*/1, s.oh * s.ow * s.k * s.k * be::kElemCost,
           [&](std::int64_t s0, std::int64_t s1) {
             for (std::int64_t slice = s0; slice < s1; ++slice) {
               const float* xplane = src + slice * s.h * s.w;
@@ -481,7 +481,7 @@ void CompiledModel::apply(const PlanStep& s, const float* src,
     }
     case PlanStep::Kind::avgpool: {
       be::parallel_for(
-          batch * s.c, /*grain=*/1,
+          batch * s.c, /*grain=*/1, s.h * s.w * be::kElemCost,
           [&](std::int64_t s0, std::int64_t s1) {
             for (std::int64_t slice = s0; slice < s1; ++slice) {
               const float* xplane = src + slice * s.h * s.w;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "backend/parallel.h"
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "runtime/checkpoint.h"
@@ -205,6 +206,12 @@ void Server::worker_loop() {
   std::vector<Request> batch;
   std::vector<Request> expired;
   std::vector<float> inputs, outputs;
+  // One core of the kernel budget, held from the first batch this worker
+  // executes until it finds the queue empty. A lone busy worker (a batch-1
+  // closed loop) leaves the other cores free for its kernels to fan out
+  // into; saturated workers keep theirs between batches, so no kernel fans
+  // out into a core a worker is about to run its next batch on.
+  std::optional<backend::CoreLease> lease;
   for (;;) {
     batch.clear();
     bool exiting = false;
@@ -214,6 +221,7 @@ void Server::worker_loop() {
       // Pop the oldest LIVE request; expired ones are collected and failed
       // outside the lock without ever executing.
       while (batch.empty()) {
+        if (queue_.empty()) lease.reset();
         not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
         if (queue_.empty()) {
           exiting = true;  // stopping and fully drained
@@ -315,6 +323,7 @@ void Server::worker_loop() {
                 inputs.begin() + i * in_n);
     }
     std::exception_ptr err;
+    if (!lease) lease.emplace();
     {
       obs::TraceSpan execute_span(trace_execute_);
       try {

@@ -47,11 +47,13 @@
 // still blocked on a full queue (and any submit() after shutdown) fail
 // their futures with ShutdownError — no future is ever left unresolved.
 //
-// Parallelism note: worker-pool parallelism composes with the backend
-// kernels' own parallel_for. For throughput serving with several workers,
-// set ADEPT_NUM_THREADS=1 (or keep threads low) so the inter-request pool
-// saturates the cores instead of each worker's kernels spawning their own
-// teams — results are bit-identical either way.
+// Parallelism note: a worker holds one core of the process-wide kernel
+// budget (backend::CoreLease, ADEPT_NUM_THREADS) from the first batch it
+// executes until it finds the queue empty. Kernels fan out only into cores
+// nobody holds, so a lone busy worker (a batch-1 closed loop) gets every
+// core, saturated workers run their kernels on one core each, and workers x
+// kernel threads never oversubscribe. No thread setting needs to change
+// between the two regimes; results are bit-identical either way.
 #pragma once
 
 #include <chrono>

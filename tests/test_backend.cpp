@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <new>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -16,13 +20,17 @@
 #include "backend/dispatch.h"
 #include "backend/kernels.h"
 #include "backend/parallel.h"
+#include "comm/communicator.h"
 #include "common/rng.h"
+#include "pool_fanouts.h"
 
 namespace {
 
 namespace be = adept::backend;
 namespace ag = adept::ag;
+namespace comm = adept::comm;
 using adept::Rng;
+using adept::test::pool_fanouts;
 using be::Trans;
 
 template <typename T>
@@ -145,47 +153,206 @@ TEST(Gemm, ZeroInnerDimAppliesBeta) {
 }
 
 // The kernel contract: chunk boundaries depend only on the problem size, so
-// any thread count reproduces the single-thread result bit-for-bit.
+// any thread count reproduces the single-thread result bit-for-bit. The
+// small shape stays under the pool's work gate (serial at any budget); the
+// tall one fans out.
 TEST(Determinism, ThreadedMatchesSerialBitExactly) {
   Rng rng(13);
-  const std::int64_t m = 97, n = 65, k = 301;  // odd sizes straddle all seams
-  const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
-  const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> c_serial(static_cast<std::size_t>(m * n), 0.0f);
-  std::vector<float> c_threaded = c_serial;
-  {
-    be::ThreadScope one(1);
-    be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
-             c_serial.data(), n);
-  }
-  {
-    be::ThreadScope four(4);
-    be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
-             c_threaded.data(), n);
-  }
-  for (std::size_t i = 0; i < c_serial.size(); ++i) {
-    ASSERT_EQ(c_serial[i], c_threaded[i]) << "elem " << i;
-  }
-}
-
-TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 4}) {
-    be::ThreadScope scope(threads);
-    const std::int64_t n = 10'007;  // prime, so chunks never divide evenly
-    std::vector<std::int32_t> hits(static_cast<std::size_t>(n), 0);
-    be::parallel_for(n, 64, [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        hits[static_cast<std::size_t>(i)] += 1;
-      }
-    });
-    for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1)
-          << "threads " << threads << " index " << i;
+  for (const std::int64_t m : {97, 1201}) {
+    const std::int64_t n = 65, k = 301;  // odd sizes straddle all seams
+    const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+    const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+    std::vector<float> c_serial(static_cast<std::size_t>(m * n), 0.0f);
+    std::vector<float> c_threaded = c_serial;
+    {
+      be::ThreadScope one(1);
+      be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
+               c_serial.data(), n);
+    }
+    {
+      be::ThreadScope four(4);
+      const std::uint64_t fanouts = pool_fanouts();
+      be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
+               c_threaded.data(), n);
+      if (m > 97) EXPECT_GT(pool_fanouts(), fanouts) << "m " << m;
+    }
+    for (std::size_t i = 0; i < c_serial.size(); ++i) {
+      ASSERT_EQ(c_serial[i], c_threaded[i]) << "m " << m << " elem " << i;
     }
   }
 }
 
-// comm::run_ranks splits the kernel budget across rank threads with
+TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
+  // Element-cost bodies stay under the gate; a heavy per-index cost passes it.
+  for (const std::int64_t cost : {be::kElemCost, std::int64_t{1} << 20}) {
+    for (int threads : {1, 4}) {
+      be::ThreadScope scope(threads);
+      const std::int64_t n = 10'007;  // prime, so chunks never divide evenly
+      std::vector<std::int32_t> hits(static_cast<std::size_t>(n), 0);
+      const std::uint64_t fanouts = pool_fanouts();
+      be::parallel_for(n, 64, cost, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          hits[static_cast<std::size_t>(i)] += 1;
+        }
+      });
+      if (threads > 1 && cost > be::kElemCost) EXPECT_GT(pool_fanouts(), fanouts);
+      for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1)
+            << "threads " << threads << " cost " << cost << " index " << i;
+      }
+    }
+  }
+}
+
+// A heavy per-index cost: launches at any size pass the work gate, so the
+// pool contract tests below exercise the fan-out path.
+constexpr std::int64_t kHeavy = std::int64_t{1} << 24;
+
+TEST(Parallel, ConcurrentLaunchesFromEightThreadsMatchSerial) {
+  Rng rng(16);
+  const std::int64_t m = 1201, n = 48, k = 200;
+  const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+  const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+  std::vector<float> serial(static_cast<std::size_t>(m * n));
+  {
+    be::ThreadScope one(1);
+    be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+             serial.data(), n);
+  }
+  be::ThreadScope four(4);
+  const std::uint64_t fanouts = pool_fanouts();
+  std::vector<std::vector<float>> outs(8);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < outs.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        std::vector<float> c(serial.size());
+        be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+                 c.data(), n);
+        if (c != serial) {
+          outs[t] = std::move(c);
+          return;
+        }
+      }
+      outs[t] = serial;
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_GT(pool_fanouts(), fanouts);
+  for (std::size_t t = 0; t < outs.size(); ++t) {
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(outs[t][i], serial[i]) << "caller " << t << " elem " << i;
+    }
+  }
+  // Bursts of short launches: cores return to the budget while other
+  // launches are still running, so a helper that finished one caller's
+  // chunks is posted to by another before the first caller revokes the
+  // helpers it never saw start. A launch must only ever revoke its own
+  // post, or a caller waits forever on a helper that was taken from it.
+  std::vector<std::int64_t> missed(8, 0);
+  callers.clear();
+  for (std::size_t t = 0; t < missed.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 2000; ++rep) {
+        std::array<std::int32_t, 8> hits{};
+        be::parallel_for(8, 1, kHeavy, [&](std::int64_t i0, std::int64_t i1) {
+          std::uint32_t spin = static_cast<std::uint32_t>(i0);
+          for (int k = 0; k < 2000 * static_cast<int>(1 + i0 % 3); ++k) {
+            spin = spin * 1664525u + 1013904223u;
+          }
+          for (std::int64_t i = i0; i < i1; ++i) {
+            hits[static_cast<std::size_t>(i)] += 1 + static_cast<std::int32_t>(spin & 0);
+          }
+        });
+        for (const std::int32_t h : hits) missed[t] += h != 1;
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  for (std::size_t t = 0; t < missed.size(); ++t) ASSERT_EQ(missed[t], 0) << "caller " << t;
+}
+
+// A launch from inside a chunk of a fanned-out launch runs inline: every
+// nested chunk runs on the thread of its outer chunk, and the nested index
+// space is still covered exactly once.
+TEST(Parallel, NestedLaunchRunsInlineAndCoversEveryIndex) {
+  be::ThreadScope four(4);
+  const std::int64_t outer = 16, inner = 1000;
+  std::vector<std::int32_t> hits(static_cast<std::size_t>(outer * inner), 0);
+  std::atomic<int> foreign{0};
+  const std::uint64_t fanouts = pool_fanouts();
+  be::parallel_for(outer, 1, kHeavy, [&](std::int64_t o0, std::int64_t o1) {
+    for (std::int64_t o = o0; o < o1; ++o) {
+      const std::thread::id self = std::this_thread::get_id();
+      be::parallel_for(inner, 10, kHeavy, [&](std::int64_t i0, std::int64_t i1) {
+        if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+        for (std::int64_t i = i0; i < i1; ++i) {
+          hits[static_cast<std::size_t>(o * inner + i)] += 1;
+        }
+      });
+    }
+  });
+  EXPECT_EQ(pool_fanouts(), fanouts + 1) << "only the outer launch fans out";
+  EXPECT_EQ(foreign.load(), 0);
+  for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
+// Rank threads each hold a core of the budget, so ranks x kernel threads
+// never exceed it: at budget 4, no more than 4 threads ever run chunks at
+// once, whether 2 ranks fan out into the free cores or 4 ranks run serially.
+TEST(Parallel, RankThreadsAndTheirKernelsStayWithinTheBudget) {
+  be::ThreadScope four(4);
+  for (int world : {2, 4}) {
+    std::atomic<int> active{0}, peak{0};
+    const std::uint64_t fanouts = pool_fanouts();
+    comm::run_ranks(world, [&](comm::Communicator& c) {
+      for (int rep = 0; rep < 30; ++rep) {
+        be::parallel_for(64, 1, kHeavy, [&](std::int64_t, std::int64_t) {
+          const int now = active.fetch_add(1) + 1;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          active.fetch_sub(1);
+        });
+      }
+      c.barrier();
+    });
+    EXPECT_LE(peak.load(), 4) << "world " << world;
+    if (world == 2) EXPECT_GT(pool_fanouts(), fanouts);
+  }
+}
+
+// An exception thrown in a chunk reaches the caller at any budget, and the
+// pool stays usable afterwards.
+TEST(Parallel, ChunkExceptionReachesTheCaller) {
+  for (int threads : {1, 4}) {
+    be::ThreadScope scope(threads);
+    const std::uint64_t fanouts = pool_fanouts();
+    EXPECT_THROW(be::parallel_for(64, 1, kHeavy,
+                                  [&](std::int64_t i0, std::int64_t i1) {
+                                    if (i0 <= 37 && 37 < i1) {
+                                      throw std::runtime_error("index 37");
+                                    }
+                                  }),
+                 std::runtime_error)
+        << "threads " << threads;
+    // ScratchArena growth inside a chunk can throw bad_alloc.
+    EXPECT_THROW(be::parallel_for(64, 1, kHeavy,
+                                  [&](std::int64_t i0, std::int64_t) {
+                                    if (i0 % 9 == 0) throw std::bad_alloc();
+                                  }),
+                 std::bad_alloc)
+        << "threads " << threads;
+    if (threads > 1) EXPECT_GT(pool_fanouts(), fanouts);
+    std::atomic<std::int64_t> sum{0};
+    be::parallel_for(64, 1, kHeavy, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) sum.fetch_add(i);
+    });
+    EXPECT_EQ(sum.load(), 64 * 63 / 2);
+  }
+}
+
 // LocalThreadScope: the cap binds only the thread that installed it, keeps
 // that thread's kernels on the thread itself, and restores the previous cap
 // on exit.
@@ -219,29 +386,39 @@ TEST(Parallel, LocalThreadScopeCapsOnlyItsOwnThread) {
 
 TEST(Determinism, ElementwiseAndReduceBitExact) {
   Rng rng(14);
-  const std::size_t n = 100000;  // spans several elementwise/reduce chunks
-  const auto a = random_vec<float>(n, rng);
-  const auto b = random_vec<float>(n, rng);
-  std::vector<float> m1(n), m4(n), z1(n), z4(n);
-  double s1, s4;
-  auto f = [](float x) { return std::tanh(x) + 0.5f * x; };
-  auto g = [](float x, float y) { return x * y + 0.25f * x; };
-  {
-    be::ThreadScope one(1);
-    be::map(n, a.data(), m1.data(), f);
-    be::zip(n, a.data(), b.data(), z1.data(), g);
-    s1 = be::reduce_sum(a.data(), n);
-  }
-  {
-    be::ThreadScope four(4);
-    be::map(n, a.data(), m4.data(), f);
-    be::zip(n, a.data(), b.data(), z4.data(), g);
-    s4 = be::reduce_sum(a.data(), n);
-  }
-  EXPECT_EQ(s1, s4);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(m1[i], m4[i]);
-    ASSERT_EQ(z1[i], z4[i]);
+  // 100000 spans several elementwise/reduce chunks but stays under the work
+  // gate; 2^21 fans out.
+  for (const std::size_t n : {std::size_t{100000}, std::size_t{1} << 21}) {
+    const auto a = random_vec<float>(n, rng);
+    const auto b = random_vec<float>(n, rng);
+    std::vector<float> m1(n), m4(n), z1(n), z4(n);
+    double s1, s4;
+    auto f = [](float x) { return std::tanh(x) + 0.5f * x; };
+    auto g = [](float x, float y) { return x * y + 0.25f * x; };
+    {
+      be::ThreadScope one(1);
+      be::map(n, a.data(), m1.data(), f);
+      be::zip(n, a.data(), b.data(), z1.data(), g);
+      s1 = be::reduce_sum(a.data(), n);
+    }
+    {
+      be::ThreadScope four(4);
+      std::uint64_t fanouts = pool_fanouts();
+      const bool fans_out = n > 100000;
+      be::map(n, a.data(), m4.data(), f);
+      if (fans_out) EXPECT_GT(pool_fanouts(), fanouts) << "map";
+      fanouts = pool_fanouts();
+      be::zip(n, a.data(), b.data(), z4.data(), g);
+      if (fans_out) EXPECT_GT(pool_fanouts(), fanouts) << "zip";
+      fanouts = pool_fanouts();
+      s4 = be::reduce_sum(a.data(), n);
+      if (fans_out) EXPECT_GT(pool_fanouts(), fanouts) << "reduce_sum";
+    }
+    EXPECT_EQ(s1, s4);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(m1[i], m4[i]);
+      ASSERT_EQ(z1[i], z4[i]);
+    }
   }
 }
 
@@ -384,29 +561,34 @@ INSTANTIATE_TEST_SUITE_P(
         // k beyond one 256-deep panel exercises the k-blocking seam.
         CgemmCase{be::CTrans::N, be::CTrans::H, 5, 7, 300, 0.0f}));
 
-// Acceptance: cgemm results are identical bits at 1/2/8 threads.
+// Acceptance: cgemm results are identical bits at 1/2/8 threads, for a
+// shape under the work gate and one that fans out.
 TEST(Determinism, CgemmBitExactAcrossThreadCounts) {
   Rng rng(32);
-  const std::int64_t m = 63, n = 33, k = 289;
-  const auto ar = random_vec<float>(static_cast<std::size_t>(m * k), rng);
-  const auto ai = random_vec<float>(static_cast<std::size_t>(m * k), rng);
-  const auto br = random_vec<float>(static_cast<std::size_t>(k * n), rng);
-  const auto bi = random_vec<float>(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> base_r, base_i;
-  for (int threads : {1, 2, 8}) {
-    std::vector<float> cr(static_cast<std::size_t>(m * n), 0.0f);
-    std::vector<float> ci = cr;
-    be::ThreadScope scope(threads);
-    be::cgemm(be::CTrans::N, be::CTrans::H, m, n, k, ar.data(), ai.data(), k,
-              br.data(), bi.data(), k, 0.0f, cr.data(), ci.data(), n);
-    if (threads == 1) {
-      base_r = cr;
-      base_i = ci;
-      continue;
-    }
-    for (std::size_t i = 0; i < cr.size(); ++i) {
-      ASSERT_EQ(cr[i], base_r[i]) << "threads=" << threads << " re " << i;
-      ASSERT_EQ(ci[i], base_i[i]) << "threads=" << threads << " im " << i;
+  for (const std::int64_t m : {63, 255}) {
+    const std::int64_t n = 33, k = 289;
+    const auto ar = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+    const auto ai = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+    const auto br = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+    const auto bi = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+    std::vector<float> base_r, base_i;
+    for (int threads : {1, 2, 8}) {
+      std::vector<float> cr(static_cast<std::size_t>(m * n), 0.0f);
+      std::vector<float> ci = cr;
+      be::ThreadScope scope(threads);
+      const std::uint64_t fanouts = pool_fanouts();
+      be::cgemm(be::CTrans::N, be::CTrans::H, m, n, k, ar.data(), ai.data(), k,
+                br.data(), bi.data(), k, 0.0f, cr.data(), ci.data(), n);
+      if (threads == 1) {
+        base_r = cr;
+        base_i = ci;
+        continue;
+      }
+      if (m > 63) EXPECT_GT(pool_fanouts(), fanouts) << "threads=" << threads;
+      for (std::size_t i = 0; i < cr.size(); ++i) {
+        ASSERT_EQ(cr[i], base_r[i]) << "m=" << m << " threads=" << threads << " re " << i;
+        ASSERT_EQ(ci[i], base_i[i]) << "m=" << m << " threads=" << threads << " im " << i;
+      }
     }
   }
 }
@@ -528,24 +710,33 @@ TEST(GemmBatched, MatchesPerSampleLoop) {
   }
 }
 
-// Acceptance: batched gemm identical bits at 1/2/8 threads.
+// Acceptance: batched gemm identical bits at 1/2/8 threads, for a shape
+// under the work gate and one that fans out.
 TEST(Determinism, GemmBatchedBitExactAcrossThreadCounts) {
   Rng rng(35);
-  const std::int64_t batch = 24, m = 16, n = 10, k = 40;
-  const auto a = random_vec<float>(static_cast<std::size_t>(batch * m * k), rng);
-  const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> base;
-  for (int threads : {1, 2, 8}) {
-    std::vector<float> c(static_cast<std::size_t>(batch * m * n), 0.0f);
-    be::ThreadScope scope(threads);
-    be::gemm_batched(batch, m, n, k, a.data(), m * k, k, Trans::N, b.data(), n,
-                     0.0f, c.data(), m * n, n);
-    if (threads == 1) {
-      base = c;
-      continue;
-    }
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_EQ(c[i], base[i]) << "threads=" << threads << " elem " << i;
+  struct Shape {
+    std::int64_t batch, m, n, k;
+  };
+  for (const Shape& sh : {Shape{24, 16, 10, 40}, Shape{24, 64, 40, 300}}) {
+    const auto a =
+        random_vec<float>(static_cast<std::size_t>(sh.batch * sh.m * sh.k), rng);
+    const auto b = random_vec<float>(static_cast<std::size_t>(sh.k * sh.n), rng);
+    std::vector<float> base;
+    for (int threads : {1, 2, 8}) {
+      std::vector<float> c(static_cast<std::size_t>(sh.batch * sh.m * sh.n), 0.0f);
+      be::ThreadScope scope(threads);
+      const std::uint64_t fanouts = pool_fanouts();
+      be::gemm_batched(sh.batch, sh.m, sh.n, sh.k, a.data(), sh.m * sh.k, sh.k,
+                       Trans::N, b.data(), sh.n, 0.0f, c.data(), sh.m * sh.n, sh.n);
+      if (threads == 1) {
+        base = c;
+        continue;
+      }
+      if (sh.m > 16) EXPECT_GT(pool_fanouts(), fanouts) << "threads=" << threads;
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_EQ(c[i], base[i]) << "m=" << sh.m << " threads=" << threads
+                                 << " elem " << i;
+      }
     }
   }
 }

@@ -21,6 +21,7 @@
 #include "nn/onn_layers.h"
 #include "optim/optimizer.h"
 #include "photonics/builders.h"
+#include "pool_fanouts.h"
 
 namespace {
 
@@ -30,6 +31,7 @@ namespace core = adept::core;
 namespace nn = adept::nn;
 namespace ph = adept::photonics;
 using adept::Rng;
+using adept::test::pool_fanouts;
 using ag::CxTensor;
 using ag::Tensor;
 
@@ -48,8 +50,11 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, bool rg = false)
 
 // ---- cgemm_batched vs per-item cgemm --------------------------------------
 
-void check_cgemm_batched_variant(be::CTrans ta, be::CTrans tb, float beta) {
-  const std::int64_t t = 5, k = 9;  // odd K exercises the pairing tail
+// t = 5 stays under the pool's work gate; t = 512 fans out, and its threaded
+// sides must have posted work to pool helpers.
+void check_cgemm_batched_variant(be::CTrans ta, be::CTrans tb, float beta,
+                                 std::int64_t t) {
+  const std::int64_t k = t > 5 ? 17 : 9;  // odd K exercises the pairing tail
   Rng rng(7);
   const std::size_t kk = static_cast<std::size_t>(k * k);
   std::vector<float> ar = random_vec(t * kk, rng), ai = random_vec(t * kk, rng);
@@ -64,9 +69,11 @@ void check_cgemm_batched_variant(be::CTrans ta, be::CTrans tb, float beta) {
   for (int threads : {1, 2, 8}) {
     be::ThreadScope scope(threads);
     std::vector<float> out_r = seed_c, out_i = seed_ci;
+    const std::uint64_t fanouts = pool_fanouts();
     be::cgemm_batched(ta, tb, t, k, k, k, ar.data(), ai.data(), kk, k,
                       br.data(), bi.data(), kk, k, beta, out_r.data(),
                       out_i.data(), kk, k);
+    if (threads > 1 && t > 5) EXPECT_GT(pool_fanouts(), fanouts) << "threads " << threads;
     for (std::size_t i = 0; i < out_r.size(); ++i) {
       ASSERT_EQ(out_r[i], ref_r[i]) << "re elem " << i << " threads " << threads;
       ASSERT_EQ(out_i[i], ref_i[i]) << "im elem " << i << " threads " << threads;
@@ -77,50 +84,57 @@ void check_cgemm_batched_variant(be::CTrans ta, be::CTrans tb, float beta) {
 TEST(CgemmBatched, BitExactVsPerItemAllVariants) {
   for (be::CTrans ta : {be::CTrans::N, be::CTrans::T, be::CTrans::H}) {
     for (be::CTrans tb : {be::CTrans::N, be::CTrans::T, be::CTrans::H}) {
-      check_cgemm_batched_variant(ta, tb, 0.0f);
-      check_cgemm_batched_variant(ta, tb, 1.0f);
+      for (const std::int64_t t : {5, 512}) {
+        check_cgemm_batched_variant(ta, tb, 0.0f, t);
+        check_cgemm_batched_variant(ta, tb, 1.0f, t);
+      }
     }
   }
 }
 
 TEST(CgemmBatched, SharedOperandsViaZeroStride) {
-  const std::int64_t t = 4, k = 8;
-  Rng rng(9);
-  const std::size_t kk = static_cast<std::size_t>(k * k);
-  std::vector<float> ar = random_vec(t * kk, rng), ai = random_vec(t * kk, rng);
-  std::vector<float> br = random_vec(kk, rng), bi = random_vec(kk, rng);
-  for (be::CTrans tb : {be::CTrans::N, be::CTrans::T, be::CTrans::H}) {
-    std::vector<float> ref_r(t * kk), ref_i(t * kk);
-    for (std::int64_t ti = 0; ti < t; ++ti) {
-      be::cgemm(be::CTrans::N, tb, k, k, k, ar.data() + ti * kk,
-                ai.data() + ti * kk, k, br.data(), bi.data(), k, 0.0f,
-                ref_r.data() + ti * kk, ref_i.data() + ti * kk, k);
-    }
-    for (int threads : {1, 2, 8}) {
-      be::ThreadScope scope(threads);
+  // t = 4 stays under the work gate; t = 512 fans out.
+  for (const std::int64_t t : {4, 512}) {
+    const std::int64_t k = t > 4 ? 16 : 8;
+    Rng rng(9);
+    const std::size_t kk = static_cast<std::size_t>(k * k);
+    std::vector<float> ar = random_vec(t * kk, rng), ai = random_vec(t * kk, rng);
+    std::vector<float> br = random_vec(kk, rng), bi = random_vec(kk, rng);
+    for (be::CTrans tb : {be::CTrans::N, be::CTrans::T, be::CTrans::H}) {
+      std::vector<float> ref_r(t * kk), ref_i(t * kk);
+      for (std::int64_t ti = 0; ti < t; ++ti) {
+        be::cgemm(be::CTrans::N, tb, k, k, k, ar.data() + ti * kk,
+                  ai.data() + ti * kk, k, br.data(), bi.data(), k, 0.0f,
+                  ref_r.data() + ti * kk, ref_i.data() + ti * kk, k);
+      }
+      for (int threads : {1, 2, 8}) {
+        be::ThreadScope scope(threads);
+        std::vector<float> out_r(t * kk), out_i(t * kk);
+        const std::uint64_t fanouts = pool_fanouts();
+        be::cgemm_batched(be::CTrans::N, tb, t, k, k, k, ar.data(), ai.data(),
+                          kk, k, br.data(), bi.data(), /*stride_b=*/0, k, 0.0f,
+                          out_r.data(), out_i.data(), kk, k);
+        if (threads > 1 && t > 4) EXPECT_GT(pool_fanouts(), fanouts) << "threads " << threads;
+        for (std::size_t i = 0; i < out_r.size(); ++i) {
+          ASSERT_EQ(out_r[i], ref_r[i]);
+          ASSERT_EQ(out_i[i], ref_i[i]);
+        }
+      }
+      // Shared A (stride_a = 0) against the same per-item loop.
+      std::vector<float> ref2_r(t * kk), ref2_i(t * kk);
+      for (std::int64_t ti = 0; ti < t; ++ti) {
+        be::cgemm(be::CTrans::N, tb, k, k, k, ar.data(), ai.data(), k,
+                  br.data(), bi.data(), k, 0.0f, ref2_r.data() + ti * kk,
+                  ref2_i.data() + ti * kk, k);
+      }
       std::vector<float> out_r(t * kk), out_i(t * kk);
       be::cgemm_batched(be::CTrans::N, tb, t, k, k, k, ar.data(), ai.data(),
-                        kk, k, br.data(), bi.data(), /*stride_b=*/0, k, 0.0f,
+                        /*stride_a=*/0, k, br.data(), bi.data(), 0, k, 0.0f,
                         out_r.data(), out_i.data(), kk, k);
       for (std::size_t i = 0; i < out_r.size(); ++i) {
-        ASSERT_EQ(out_r[i], ref_r[i]);
-        ASSERT_EQ(out_i[i], ref_i[i]);
+        ASSERT_EQ(out_r[i], ref2_r[i]);
+        ASSERT_EQ(out_i[i], ref2_i[i]);
       }
-    }
-    // Shared A (stride_a = 0) against the same per-item loop.
-    std::vector<float> ref2_r(t * kk), ref2_i(t * kk);
-    for (std::int64_t ti = 0; ti < t; ++ti) {
-      be::cgemm(be::CTrans::N, tb, k, k, k, ar.data(), ai.data(), k,
-                br.data(), bi.data(), k, 0.0f, ref2_r.data() + ti * kk,
-                ref2_i.data() + ti * kk, k);
-    }
-    std::vector<float> out_r(t * kk), out_i(t * kk);
-    be::cgemm_batched(be::CTrans::N, tb, t, k, k, k, ar.data(), ai.data(),
-                      /*stride_a=*/0, k, br.data(), bi.data(), 0, k, 0.0f,
-                      out_r.data(), out_i.data(), kk, k);
-    for (std::size_t i = 0; i < out_r.size(); ++i) {
-      ASSERT_EQ(out_r[i], ref2_r[i]);
-      ASSERT_EQ(out_i[i], ref2_i[i]);
     }
   }
 }
@@ -244,13 +258,20 @@ std::vector<std::vector<float>> grads_of(nn::PtcWeight& w, Tensor (nn::PtcWeight
   return grads;
 }
 
+// `fans_out`: the tile grid is large enough for the batched kernels to pass
+// the pool's work gate, so the 2- and 8-thread sides must post work to pool
+// helpers (small grids run serially at any budget).
 void expect_weight_paths_bit_exact(
     nn::PtcWeight& w, std::vector<Tensor> params,
-    const std::function<void()>& reset = [] {}) {
+    const std::function<void()>& reset = [] {}, bool fans_out = false) {
   for (int threads : {1, 2, 8}) {
     be::ThreadScope scope(threads);
     reset();
+    const std::uint64_t fanouts = pool_fanouts();
     Tensor batched = w.weight_expr();
+    if (fans_out && threads > 1) {
+      EXPECT_GT(pool_fanouts(), fanouts) << "threads " << threads;
+    }
     Tensor per_tile = w.weight_expr_per_tile();
     ASSERT_EQ(batched.shape(), per_tile.shape());
     for (std::size_t i = 0; i < batched.data().size(); ++i) {
@@ -277,6 +298,16 @@ TEST(BatchedWeight, FixedTopologyBitExactMultiTile) {
   EXPECT_EQ(w.tile_rows(), 3);
   EXPECT_EQ(w.tile_cols(), 2);
   expect_weight_paths_bit_exact(w, w.parameters());
+}
+
+TEST(BatchedWeight, FixedTopologyBitExactLargeGrid) {
+  Rng rng(24);
+  auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(8));
+  // 256 x 256 with K=8 -> 32x32 tile grid: one batched product spans 1024
+  // tiles.
+  nn::PtcWeight w(256, 256, nn::PtcBinding::fixed(topo), rng);
+  EXPECT_EQ(w.tile_rows(), 32);
+  expect_weight_paths_bit_exact(w, w.parameters(), [] {}, /*fans_out=*/true);
 }
 
 TEST(BatchedWeight, SuperMeshBitExactMultiTile) {

@@ -35,6 +35,7 @@
 #include "photonics/builders.h"
 #include "runtime/compiled_model.h"
 #include "runtime/server.h"
+#include "pool_fanouts.h"
 
 namespace {
 
@@ -43,6 +44,7 @@ namespace ph = adept::photonics;
 namespace nn = adept::nn;
 namespace rt = adept::runtime;
 using adept::Rng;
+using adept::test::pool_fanouts;
 
 std::vector<float> random_input(std::int64_t n, Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(n));
@@ -90,6 +92,14 @@ nn::OnnModel make_lenet(std::uint64_t seed) {
   auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(8));
   Rng rng(seed);
   return nn::make_lenet5(1, 16, 4, nn::PtcBinding::fixed(topo), rng, 0.5);
+}
+
+// Width-32 proxy CNN on 16x16 inputs: its second conv passes the backend's
+// work gate even at batch 1, where the mlp and lenet above stay serial.
+nn::OnnModel make_wide_cnn(std::uint64_t seed) {
+  auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(8));
+  Rng rng(seed);
+  return nn::make_proxy_cnn(1, 16, 4, nn::PtcBinding::fixed(topo), rng, 32);
 }
 
 rt::CompiledModel freeze(nn::OnnModel& model, std::vector<std::int64_t> dims,
@@ -336,11 +346,26 @@ std::vector<float> run_at_threads(const rt::CompiledModel& cm,
   return cm.run(x, batch);
 }
 
+// The wide model's 4-thread side must have posted work to pool helpers, so
+// the comparison is threaded vs serial rather than serial vs serial.
+void expect_threads_bit_identical_and_fanned_out(const rt::CompiledModel& cm,
+                                                 const std::vector<float>& x,
+                                                 std::int64_t batch,
+                                                 const std::string& tag) {
+  const std::vector<float> one = run_at_threads(cm, x, batch, 1);
+  const std::uint64_t fanouts = pool_fanouts();
+  const std::vector<float> four = run_at_threads(cm, x, batch, 4);
+  EXPECT_GT(pool_fanouts(), fanouts) << tag;
+  expect_bit_identical(one, four, tag.c_str());
+}
+
 TEST(PlanThreads, OneVsFourThreadsBitIdenticalAcrossSimdLevels) {
   nn::OnnModel mlp = make_mlp(7);
   nn::OnnModel lenet = make_lenet(19);
+  nn::OnnModel wide = make_wide_cnn(29);
   const rt::CompiledModel mlp_cm = freeze(mlp, {17}, /*optimize=*/true);
   const rt::CompiledModel net_cm = freeze(lenet, {1, 16, 16}, /*optimize=*/true);
+  const rt::CompiledModel wide_cm = freeze(wide, {1, 16, 16}, /*optimize=*/true);
   Rng rng(3);
   for (be::SimdLevel level : be::available_simd_levels()) {
     be::SimdScope scope(level);
@@ -356,14 +381,19 @@ TEST(PlanThreads, OneVsFourThreadsBitIdenticalAcrossSimdLevels) {
       expect_bit_identical(run_at_threads(net_cm, xl, batch, 1),
                            run_at_threads(net_cm, xl, batch, 4),
                            ("lenet " + tag).c_str());
+      expect_threads_bit_identical_and_fanned_out(
+          wide_cm, random_input(batch * 256, rng), batch, "wide " + tag);
     }
   }
 }
 
 TEST(PlanThreads, OneVsFourThreadsBitIdenticalInt8) {
   nn::OnnModel model = make_lenet(23);
+  nn::OnnModel wide = make_wide_cnn(31);
   const rt::CompiledModel q =
       freeze(model, {1, 16, 16}, /*optimize=*/true, /*quantize=*/true);
+  const rt::CompiledModel wide_q =
+      freeze(wide, {1, 16, 16}, /*optimize=*/true, /*quantize=*/true);
   Rng rng(5);
   for (be::SimdLevel level : be::available_simd_levels()) {
     be::SimdScope scope(level);
@@ -374,6 +404,7 @@ TEST(PlanThreads, OneVsFourThreadsBitIdenticalInt8) {
                               std::to_string(batch);
       expect_bit_identical(run_at_threads(q, x, batch, 1),
                            run_at_threads(q, x, batch, 4), tag.c_str());
+      expect_threads_bit_identical_and_fanned_out(wide_q, x, batch, "wide " + tag);
     }
   }
 }

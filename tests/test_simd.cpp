@@ -27,11 +27,13 @@
 // scalar vec8f — the tests below keep that branch compiled and honest.
 #include "backend/simd.h"
 #include "common/rng.h"
+#include "pool_fanouts.h"
 
 namespace {
 
 namespace be = adept::backend;
 using adept::Rng;
+using adept::test::pool_fanouts;
 using be::CTrans;
 using be::SimdLevel;
 using be::SimdScope;
@@ -315,52 +317,68 @@ TEST(SimdDispatch, RcgemmSparsePermutationOperandStaysCorrect) {
 
 // ---- thread-count determinism per level ------------------------------------
 
+// Each family runs a shape under the pool's work gate and one that fans out;
+// the threaded side of the second must have posted work to pool helpers.
 TEST(SimdDispatch, ThreadCountDeterminismPerLevel) {
   for (SimdLevel level : be::available_simd_levels()) {
     SimdScope scope(level);
-    const std::int64_t m = 53, n = 37, k = 41;
     Rng rng(43);
-    const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
-    const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-    std::vector<float> base(static_cast<std::size_t>(m * n));
-    {
-      be::ThreadScope one(1);
-      be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k,
-               0.0f, base.data(), n);
-    }
-    for (int threads : {2, 8}) {
-      be::ThreadScope t(threads);
-      std::vector<float> got(static_cast<std::size_t>(m * n));
-      be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k,
-               0.0f, got.data(), n);
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], base[i]) << be::simd_level_name(level) << " threads="
-                                   << threads << " elem " << i;
+    for (const std::int64_t m : {53, 1201}) {
+      const std::int64_t n = 37, k = m > 53 ? 300 : 41;
+      const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
+      const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
+      std::vector<float> base(static_cast<std::size_t>(m * n));
+      {
+        be::ThreadScope one(1);
+        be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k,
+                 0.0f, base.data(), n);
+      }
+      for (int threads : {2, 8}) {
+        be::ThreadScope t(threads);
+        std::vector<float> got(static_cast<std::size_t>(m * n));
+        const std::uint64_t fanouts = pool_fanouts();
+        be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data(), k, b.data(), k,
+                 0.0f, got.data(), n);
+        if (m > 53) {
+          EXPECT_GT(pool_fanouts(), fanouts)
+              << be::simd_level_name(level) << " threads=" << threads;
+        }
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], base[i]) << be::simd_level_name(level) << " threads="
+                                     << threads << " m=" << m << " elem " << i;
+        }
       }
     }
     // Complex batched path too (packs + row segmentation differ).
-    const std::int64_t batch = 5, cm = 6, cn2 = 13, ck = 10;
-    const std::size_t ia = static_cast<std::size_t>(cm * ck);
-    const std::size_t ib = static_cast<std::size_t>(ck * cn2);
-    const std::size_t ic = static_cast<std::size_t>(cm * cn2);
-    const auto ar = random_vec(batch * ia, rng), ai = random_vec(batch * ia, rng);
-    const auto br = random_vec(batch * ib, rng), bi = random_vec(batch * ib, rng);
-    std::vector<float> r1(batch * ic), i1(batch * ic);
-    {
-      be::ThreadScope one(1);
-      be::cgemm_batched(CTrans::N, CTrans::H, batch, cm, cn2, ck, ar.data(),
-                        ai.data(), ia, ck, br.data(), bi.data(), ib, ck, 0.0f,
-                        r1.data(), i1.data(), ic, cn2);
-    }
-    for (int threads : {2, 8}) {
-      be::ThreadScope t(threads);
-      std::vector<float> r2(batch * ic), i2(batch * ic);
-      be::cgemm_batched(CTrans::N, CTrans::H, batch, cm, cn2, ck, ar.data(),
-                        ai.data(), ia, ck, br.data(), bi.data(), ib, ck, 0.0f,
-                        r2.data(), i2.data(), ic, cn2);
-      for (std::size_t i = 0; i < r1.size(); ++i) {
-        ASSERT_EQ(r2[i], r1[i]) << "threads=" << threads;
-        ASSERT_EQ(i2[i], i1[i]) << "threads=" << threads;
+    for (const std::int64_t batch : {5, 256}) {
+      const std::int64_t cm = batch > 5 ? 16 : 6, cn2 = 13, ck = batch > 5 ? 40 : 10;
+      const std::size_t ia = static_cast<std::size_t>(cm * ck);
+      const std::size_t ib = static_cast<std::size_t>(ck * cn2);
+      const std::size_t ic = static_cast<std::size_t>(cm * cn2);
+      const auto ar = random_vec(batch * ia, rng), ai = random_vec(batch * ia, rng);
+      const auto br = random_vec(batch * ib, rng), bi = random_vec(batch * ib, rng);
+      std::vector<float> r1(batch * ic), i1(batch * ic);
+      {
+        be::ThreadScope one(1);
+        be::cgemm_batched(CTrans::N, CTrans::H, batch, cm, cn2, ck, ar.data(),
+                          ai.data(), ia, ck, br.data(), bi.data(), ib, ck, 0.0f,
+                          r1.data(), i1.data(), ic, cn2);
+      }
+      for (int threads : {2, 8}) {
+        be::ThreadScope t(threads);
+        std::vector<float> r2(batch * ic), i2(batch * ic);
+        const std::uint64_t fanouts = pool_fanouts();
+        be::cgemm_batched(CTrans::N, CTrans::H, batch, cm, cn2, ck, ar.data(),
+                          ai.data(), ia, ck, br.data(), bi.data(), ib, ck, 0.0f,
+                          r2.data(), i2.data(), ic, cn2);
+        if (batch > 5) {
+          EXPECT_GT(pool_fanouts(), fanouts)
+              << be::simd_level_name(level) << " threads=" << threads;
+        }
+        for (std::size_t i = 0; i < r1.size(); ++i) {
+          ASSERT_EQ(r2[i], r1[i]) << "threads=" << threads << " batch=" << batch;
+          ASSERT_EQ(i2[i], i1[i]) << "threads=" << threads << " batch=" << batch;
+        }
       }
     }
   }
