@@ -169,19 +169,22 @@ int main() {
       config.normalize_unitaries = normalize;
       core::SuperMesh mesh(config, trial_rng);
       mesh.begin_step(1.0, trial_rng, false);
+      // One tile: a [1,K] phase stack per block.
       std::vector<ag::Tensor> phases;
       for (int b = 0; b < 4; ++b) {
         std::vector<float> phi(static_cast<std::size_t>(k));
         for (auto& p : phi) p = static_cast<float>(trial_rng.uniform(-3.14, 3.14));
-        phases.push_back(ag::make_tensor(std::move(phi), {static_cast<std::int64_t>(k)}, false));
+        phases.push_back(
+            ag::make_tensor(std::move(phi), {1, static_cast<std::int64_t>(k)}, false));
       }
       ag::NoGradGuard guard;
-      ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
+      ag::CxTensor u = mesh.tile_unitary_batched(core::Side::u, phases);
       // ||U U^H - I||_max via the complex pair
       ph::CMat cm(k, k);
       for (int i = 0; i < k; ++i) {
         for (int j = 0; j < k; ++j) {
-          cm.at(i, j) = ph::cplx(u.re.at(i, j), u.im.at(i, j));
+          const auto e = static_cast<std::size_t>(i * k + j);
+          cm.at(i, j) = ph::cplx(u.re.data()[e], u.im.data()[e]);
         }
       }
       err += cm.unitarity_error();

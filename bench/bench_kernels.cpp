@@ -22,7 +22,6 @@
 #include "core/reparam.h"
 #include "core/spl.h"
 #include "core/supermesh.h"
-#include "nn/onn_layers.h"
 #include "optim/optimizer.h"
 #include "photonics/builders.h"
 #include "photonics/linalg.h"
@@ -30,7 +29,6 @@
 namespace ag = adept::ag;
 namespace be = adept::backend;
 namespace core = adept::core;
-namespace nn = adept::nn;
 namespace ph = adept::photonics;
 
 namespace {
@@ -112,10 +110,10 @@ BENCHMARK(BM_BackendGemm)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 void BM_ComplexMatmul(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   adept::Rng rng(2);
-  ag::CxTensor a = {random_tensor({n, n}, rng), random_tensor({n, n}, rng)};
+  ag::CxTensor a = {random_tensor({1, n, n}, rng), random_tensor({1, n, n}, rng)};
   ag::CxTensor b = {random_tensor({n, n}, rng), random_tensor({n, n}, rng)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ag::cmatmul(a, b).re.data().data());
+    benchmark::DoNotOptimize(ag::bcmatmul(a, b).re.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 4 * n * n * n);
 }
@@ -208,14 +206,14 @@ void BM_SuperMeshTrainStep(benchmark::State& state) {
   config.super_blocks_per_unitary = 4;
   config.always_on_per_unitary = 1;
   core::SuperMesh mesh(config, rng);
-  std::vector<ag::Tensor> phases;
-  for (int b = 0; b < 4; ++b) phases.push_back(random_tensor({k}, rng, true));
+  std::vector<ag::Tensor> phases;  // one tile: a [1,K] stack per block
+  for (int b = 0; b < 4; ++b) phases.push_back(random_tensor({1, k}, rng, true));
   auto params = mesh.topology_weights();
   for (auto& p : phases) params.push_back(p);
   adept::optim::Adam opt(params, 1e-3);
   for (auto _ : state) {
     mesh.begin_step(1.0, rng, true);
-    ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
+    ag::CxTensor u = mesh.tile_unitary_batched(core::Side::u, phases);
     ag::Tensor loss = ag::add(ag::sum(ag::square(u.re)), ag::sum(ag::square(u.im)));
     opt.zero_grad();
     loss.backward();
@@ -354,78 +352,10 @@ adept::bench::JsonRecord gemm_batched_record() {
                      t_naive, t);
 }
 
-// Acceptance micro-bench: forward+backward through a B-block complex block
-// chain at K=32 — the tile_unitary hot loop. Baseline is the seed's
-// composition (phase_column + 4-real-gemm cmatmul + dense P matmuls +
-// cscale/cadd mixing); backend is the fused block_transfer/cmix/cmatmul
-// path. `*_gflops` fields report chain iterations per second.
-adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
-  adept::Rng rng(7);
-  std::vector<ag::Tensor> p, phi, skip, sel;
-  std::vector<ag::CxTensor> t;
-  for (int b = 0; b < blocks; ++b) {
-    p.push_back(random_tensor({k, k}, rng, true));
-    t.push_back({random_tensor({k, k}, rng, true), random_tensor({k, k}, rng, true)});
-    phi.push_back(random_tensor({k}, rng, true));
-    skip.push_back(ag::Tensor::scalar(0.3f, true));
-    sel.push_back(ag::Tensor::scalar(0.7f, true));
-  }
-  auto zero_all = [&] {
-    for (auto& v : p) v.zero_grad();
-    for (auto& v : phi) v.zero_grad();
-    for (auto& v : skip) v.zero_grad();
-    for (auto& v : sel) v.zero_grad();
-    for (auto& v : t) {
-      v.re.zero_grad();
-      v.im.zero_grad();
-    }
-  };
-  auto head = [](const ag::CxTensor& acc) {
-    return ag::add(ag::sum(ag::square(acc.re)), ag::sum(ag::square(acc.im)));
-  };
-  auto run_baseline = [&] {
-    ag::CxTensor acc = ag::CxTensor::eye(k);
-    ag::CxTensor eye = ag::CxTensor::eye(k);
-    for (int b = 0; b < blocks; ++b) {
-      ag::CxTensor r = ag::phase_column(phi[static_cast<std::size_t>(b)]);
-      ag::CxTensor tr = ag::cmatmul_unfused(t[static_cast<std::size_t>(b)], r);
-      ag::CxTensor block = {ag::matmul(p[static_cast<std::size_t>(b)], tr.re),
-                            ag::matmul(p[static_cast<std::size_t>(b)], tr.im)};
-      ag::CxTensor mixed =
-          ag::cadd(ag::cscale(eye, skip[static_cast<std::size_t>(b)]),
-                   ag::cscale(block, sel[static_cast<std::size_t>(b)]));
-      acc = ag::cmatmul_unfused(mixed, acc);
-    }
-    head(acc).backward();
-    zero_all();
-  };
-  auto run_fused = [&] {
-    ag::CxTensor acc = ag::CxTensor::eye(k);
-    for (int b = 0; b < blocks; ++b) {
-      ag::CxTensor block =
-          ag::block_transfer(p[static_cast<std::size_t>(b)],
-                             t[static_cast<std::size_t>(b)],
-                             phi[static_cast<std::size_t>(b)]);
-      ag::CxTensor mixed = ag::cmix_identity(skip[static_cast<std::size_t>(b)],
-                                             sel[static_cast<std::size_t>(b)], block);
-      acc = ag::cmatmul(mixed, acc);
-    }
-    head(acc).backward();
-    zero_all();
-  };
-  double t_naive;
-  {
-    be::ThreadScope one(1);
-    t_naive = adept::bench::time_best(run_baseline);
-  }
-  const auto t_f = time_backend(run_fused);
-  return make_record("cchain_fwdbwd", static_cast<double>(k), 1.0, t_naive, t_f);
-}
-
 adept::bench::JsonRecord cgemm_batched_record() {
   // Mesh-shaped stack: 16 tiles of [16,16] advancing one block of a shared
-  // chain. Baseline is one cgemm dispatch per tile (the per-tile
-  // weight_expr pattern); backend is a single cgemm_batched over the stack.
+  // chain. Baseline is one cgemm dispatch per tile; backend is a single
+  // cgemm_batched over the stack.
   const std::int64_t tiles = 16, k = 16;
   adept::Rng rng(9);
   const std::size_t kk = static_cast<std::size_t>(k * k);
@@ -449,26 +379,6 @@ adept::bench::JsonRecord cgemm_batched_record() {
   });
   return make_record("cgemm_f32_batched", static_cast<double>(tiles), flops,
                      t_naive, t);
-}
-
-// Multi-tile weight build: forward tape construction of a 64x64 ONN weight
-// on a K=16 butterfly topology (16 tiles sharing the topology). Baseline is
-// the per-tile path (one [K,K] chain per tile); backend is the batched path
-// (one [T,K,K] node per chain stage). `*_gflops` fields report weight
-// builds per second.
-adept::bench::JsonRecord weight_expr_record() {
-  adept::Rng rng(10);
-  auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(16));
-  nn::PtcWeight w(64, 64, nn::PtcBinding::fixed(topo), rng);
-  double t_naive;
-  {
-    be::ThreadScope one(1);
-    t_naive = adept::bench::time_best(
-        [&] { benchmark::DoNotOptimize(w.weight_expr_per_tile().data().data()); });
-  }
-  const auto t = time_backend(
-      [&] { benchmark::DoNotOptimize(w.weight_expr().data().data()); });
-  return make_record("weight_expr", 16, 1.0, t_naive, t);
 }
 
 adept::bench::JsonRecord map_record(std::size_t n) {
@@ -595,21 +505,14 @@ void add_simd_level_records(adept::bench::JsonReport& report) {
                                   bi->data(), n, 0.0f, cr->data(), ci->data(),
                                   n);
                       });
-    // Same operands through the phased real-complex product (dense A).
+    // Same complex operand through the real-complex product (dense A).
     auto p = std::make_shared<std::vector<float>>(nn);
-    auto cc = std::make_shared<std::vector<float>>(static_cast<std::size_t>(n));
-    auto ss = std::make_shared<std::vector<float>>(static_cast<std::size_t>(n));
     for (auto& x : *p) x = static_cast<float>(rng.uniform(-1, 1));
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float phi = static_cast<float>(rng.uniform(-3.0, 3.0));
-      (*cc)[static_cast<std::size_t>(j)] = std::cos(phi);
-      (*ss)[static_cast<std::size_t>(j)] = std::sin(phi);
-    }
     add_level_records(report, "rcgemm_f32", static_cast<double>(n),
                       4.0 * static_cast<double>(n) * n * n, [=] {
                         be::rcgemm(be::Trans::N, n, n, n, p->data(), n,
                                    br->data(), bi->data(), n, 0.0f, cr->data(),
-                                   ci->data(), n, cc->data(), ss->data());
+                                   ci->data(), n);
                       });
   }
   {
@@ -699,8 +602,6 @@ int run_json_report(const std::string& path) {
   for (std::int64_t n : {16, 32, 64}) report.add(cgemm_record(n));
   report.add(gemm_batched_record());
   report.add(cgemm_batched_record());
-  report.add(cchain_record(32, 4));
-  report.add(weight_expr_record());
   report.add(map_record(1u << 20));
   report.add(im2col_record());
   add_simd_level_records(report);

@@ -679,46 +679,6 @@ Tensor slice2d(const Tensor& a, std::int64_t r0, std::int64_t rows,
                  });
 }
 
-Tensor block_matrix(const std::vector<Tensor>& tiles, std::int64_t p, std::int64_t q) {
-  check(!tiles.empty() && static_cast<std::int64_t>(tiles.size()) == p * q,
-        "block_matrix: tile count mismatch");
-  const std::int64_t k = tiles[0].dim(0);
-  for (const auto& t : tiles) {
-    check(t.ndim() == 2 && t.dim(0) == k && t.dim(1) == k,
-          "block_matrix: tiles must be square and uniform");
-  }
-  const std::int64_t rows = p * k, cols = q * k;
-  std::vector<float> out(static_cast<std::size_t>(rows * cols));
-  for (std::int64_t bp = 0; bp < p; ++bp) {
-    for (std::int64_t bq = 0; bq < q; ++bq) {
-      const auto& td = tiles[static_cast<std::size_t>(bp * q + bq)].data();
-      for (std::int64_t i = 0; i < k; ++i) {
-        for (std::int64_t j = 0; j < k; ++j) {
-          out[static_cast<std::size_t>((bp * k + i) * cols + bq * k + j)] =
-              td[static_cast<std::size_t>(i * k + j)];
-        }
-      }
-    }
-  }
-  std::vector<Tensor> parents = tiles;
-  return make_op(std::move(out), {rows, cols}, parents,
-                 [tiles, p, q, k, cols](TensorImpl& o) {
-                   for (std::int64_t bp = 0; bp < p; ++bp) {
-                     for (std::int64_t bq = 0; bq < q; ++bq) {
-                       const Tensor& t = tiles[static_cast<std::size_t>(bp * q + bq)];
-                       if (!t.requires_grad()) continue;
-                       auto& gt = const_cast<Tensor&>(t).grad();
-                       for (std::int64_t i = 0; i < k; ++i) {
-                         for (std::int64_t j = 0; j < k; ++j) {
-                           gt[static_cast<std::size_t>(i * k + j)] += o.grad[static_cast<std::size_t>(
-                               (bp * k + i) * cols + bq * k + j)];
-                         }
-                       }
-                     }
-                   }
-                 });
-}
-
 Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
   check(stacked.ndim() == 3 && stacked.dim(0) == p * q,
         "block_matrix: stacked must be [P*Q,K,K]");

@@ -84,11 +84,8 @@ Tensor index(const Tensor& a, std::int64_t i);
 // Sub-matrix copy: rows [r0, r0+rows), cols [c0, c0+cols).
 Tensor slice2d(const Tensor& a, std::int64_t r0, std::int64_t rows,
                std::int64_t c0, std::int64_t cols);
-// Assemble a [P*K, Q*K] matrix from P*Q tiles of shape [K,K], row-major grid.
-Tensor block_matrix(const std::vector<Tensor>& tiles, std::int64_t p,
-                    std::int64_t q);
-// Same assembly from one stacked [P*Q,K,K] tensor (tile t = grid cell
-// (t/Q, t%Q)): one tape node instead of P*Q slice parents.
+// Assemble a [P*K, Q*K] matrix from one stacked [P*Q,K,K] tensor of tiles
+// (tile t = grid cell (t/Q, t%Q), row-major grid).
 Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q);
 // Per-tile column scaling of a stacked [T,N,M] by s [T,M] (or [T,1,M]):
 // out[t,i,j] = a[t,i,j] * s[t,j]. The batched analogue of the [N,M] x [1,M]

@@ -73,16 +73,12 @@ struct KernelTable {
   void (*rcgemm)(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* br,
                  const float* bi, std::int64_t ldb, float beta, float* cr,
-                 float* ci, std::int64_t ldc, const float* col_cos,
-                 const float* col_sin);
+                 float* ci, std::int64_t ldc);
   void (*gemm_batched)(std::int64_t batch, std::int64_t m, std::int64_t n,
                        std::int64_t k, const float* a, std::int64_t stride_a,
                        std::int64_t lda, Trans tb, const float* b,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t stride_c, std::int64_t ldc);
-  void (*cmul_planar)(std::size_t n, const float* ar, const float* ai,
-                      const float* br, const float* bi, float* outr,
-                      float* outi);
   void (*sincos)(std::int64_t n, const float* x, float* c, float* s);
   void (*softmax_rows)(std::int64_t rows, std::int64_t cols, const float* a,
                        float* out);

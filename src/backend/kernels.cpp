@@ -434,25 +434,14 @@ void cgemm(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
 void rcgemm(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
             const float* a, std::int64_t lda, const float* br, const float* bi,
             std::int64_t ldb, float beta, float* cr, float* ci,
-            std::int64_t ldc, const float* col_cos, const float* col_sin) {
+            std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
-  // The phase epilogue rewrites the product in place, which only composes
-  // with a zero-initialized accumulator.
-  const bool phased = col_cos != nullptr;
-  if (phased != (col_sin != nullptr)) {
-    throw std::invalid_argument("rcgemm: col_cos/col_sin must be passed together");
-  }
-  if (phased && beta != 0.0f) {
-    throw std::invalid_argument("rcgemm: phase epilogue requires beta == 0");
-  }
   if (const KernelTable* t = active_kernels();
       t && k > 0 &&
       !mostly_zero(a, ta == Trans::N ? m : k, ta == Trans::N ? k : m, lda)) {
-    t->rcgemm(ta, m, n, k, a, lda, br, bi, ldb, beta, cr, ci, ldc, col_cos,
-              col_sin);
+    t->rcgemm(ta, m, n, k, a, lda, br, bi, ldb, beta, cr, ci, ldc);
     return;
   }
-  const std::int64_t last_k0 = k <= 0 ? 0 : ((k - 1) / kKBlock) * kKBlock;
   auto scale_row = [&](float* rrow, float* irow) {
     scale_row_beta(beta, n, rrow);
     scale_row_beta(beta, n, irow);
@@ -501,15 +490,6 @@ void rcgemm(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
           for (std::int64_t j = 0; j < n; ++j) {
             crow[j] += av * brow[j];
             cirow[j] += av * birow[j];
-          }
-        }
-        if (phased && k0 == last_k0) {
-          // Column phase epilogue: (re, im) <- (re, im) * e^{-i phi_j} once
-          // the row's accumulation is complete.
-          for (std::int64_t j = 0; j < n; ++j) {
-            const float re = crow[j], im = cirow[j];
-            crow[j] = re * col_cos[j] + im * col_sin[j];
-            cirow[j] = im * col_cos[j] - re * col_sin[j];
           }
         }
       }
@@ -698,22 +678,6 @@ void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
       }
     });
   }
-}
-
-void cmul_planar(std::size_t n, const float* ar, const float* ai,
-                 const float* br, const float* bi, float* outr, float* outi) {
-  if (const KernelTable* t = active_kernels()) {
-    t->cmul_planar(n, ar, ai, br, bi, outr, outi);
-    return;
-  }
-  parallel_for(static_cast<std::int64_t>(n), detail::kElemGrain, 2 * kElemCost,
-               [=](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   const float re = ar[i] * br[i] - ai[i] * bi[i];
-                   outi[i] = ar[i] * bi[i] + ai[i] * br[i];
-                   outr[i] = re;
-                 }
-               });
 }
 
 void sincos(std::int64_t n, const float* x, float* cos_out, float* sin_out) {

@@ -128,16 +128,10 @@ void cgemm(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
 
 // Real-by-complex gemm: C = op(A) @ B + beta * C with A real [m, k] and B a
 // planar complex [k, n]; one traversal of A feeds both output planes.
-//
-// When `col_cos`/`col_sin` are non-null (requires beta == 0), the kernel
-// epilogue multiplies column j of the product by exp(-i*phi_j) given
-// cos(phi_j)/sin(phi_j) — the fused "block transfer" form P @ T @ R(Phi)
-// where the diagonal phase column R never becomes a matmul.
 void rcgemm(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
             const float* a, std::int64_t lda, const float* br, const float* bi,
             std::int64_t ldb, float beta, float* cr, float* ci,
-            std::int64_t ldc, const float* col_cos = nullptr,
-            const float* col_sin = nullptr);
+            std::int64_t ldc);
 
 // Batched planar complex gemm: C[t] = op(A[t]) @ op(B[t]) + beta * C[t] for
 // t in [0, batch). Operand planes are [batch, m, k] / [batch, k, n] stacks
@@ -168,12 +162,8 @@ void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
                   float beta, float* c, std::int64_t stride_c,
                   std::int64_t ldc);
 
-// Fused planar complex elementwise product: (or, oi) = (a * b) per element.
-void cmul_planar(std::size_t n, const float* ar, const float* ai,
-                 const float* br, const float* bi, float* outr, float* outi);
-
 // Simultaneous cos/sin of a phase vector — the exp(-i*phi) table feeding the
-// phase-column ops and the rcgemm epilogue. SIMD levels use a Cephes-style
+// phase-column ops. SIMD levels use a Cephes-style
 // polynomial (~1-2 ulp vs libm for |x| < 8192, libm fallback per lane
 // beyond); the scalar level is a plain std::cos/std::sin loop.
 void sincos(std::int64_t n, const float* x, float* cos_out, float* sin_out);

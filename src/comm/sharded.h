@@ -96,11 +96,6 @@ class ShardedGradReducer {
   std::vector<double> finish(
       Communicator* comm,
       const std::vector<std::vector<float>>* replicated = nullptr);
-  std::vector<double> finish(
-      Communicator& comm,
-      const std::vector<std::vector<float>>* replicated = nullptr) {
-    return finish(&comm, replicated);
-  }
 
   // Flat copies of the params' current .grad buffers (zeros when absent) —
   // the shape finish() expects for `replicated`.

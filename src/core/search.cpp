@@ -243,66 +243,66 @@ MatrixFitTask::MatrixFitTask(int tiles, std::uint64_t seed)
     : tiles_(tiles), rng_(seed) {}
 
 void MatrixFitTask::bind(SuperMesh& mesh) {
-  const std::int64_t k = mesh.k();
-  const int nb = mesh.blocks_per_unitary();
-  targets_.clear();
-  phi_u_.clear();
-  phi_v_.clear();
-  sigma_.clear();
-  for (int t = 0; t < tiles_; ++t) {
-    std::vector<float> target(static_cast<std::size_t>(k * k));
+  const std::int64_t k = mesh.k(), tiles = tiles_;
+  const std::size_t kz = static_cast<std::size_t>(k), tz = static_cast<std::size_t>(tiles);
+  const std::size_t nb = static_cast<std::size_t>(mesh.blocks_per_unitary());
+  std::vector<float> target(tz * kz * kz);
+  std::vector<std::vector<float>> pu(nb, std::vector<float>(tz * kz)), pv = pu;
+  // Tile-major draws: tile t's target, then its U phases block by block,
+  // then its V phases.
+  for (std::size_t t = 0; t < tz; ++t) {
     // Orthogonal-ish random targets keep the fit well-scaled.
-    for (auto& x : target) {
-      x = static_cast<float>(rng_.normal(0.0, 1.0 / std::sqrt(static_cast<double>(k))));
+    for (std::size_t i = 0; i < kz * kz; ++i) {
+      target[t * kz * kz + i] = static_cast<float>(
+          rng_.normal(0.0, 1.0 / std::sqrt(static_cast<double>(k))));
     }
-    targets_.push_back(ag::make_tensor(std::move(target), {k, k}, false));
-    auto make_phases = [&]() {
-      std::vector<Tensor> phases;
-      for (int b = 0; b < nb; ++b) {
-        std::vector<float> phi(static_cast<std::size_t>(k));
-        for (auto& p : phi) {
-          p = static_cast<float>(
+    for (auto* side : {&pu, &pv}) {
+      for (auto& s : *side) {
+        for (std::size_t i = 0; i < kz; ++i) {
+          s[t * kz + i] = static_cast<float>(
               rng_.uniform(-std::numbers::pi, std::numbers::pi));
         }
-        phases.push_back(ag::make_tensor(std::move(phi), {k}, true));
       }
-      return phases;
-    };
-    phi_u_.push_back(make_phases());
-    phi_v_.push_back(make_phases());
-    std::vector<float> sig(static_cast<std::size_t>(k), 1.0f);
-    sigma_.push_back(ag::make_tensor(std::move(sig), {k}, true));
+    }
   }
+  targets_ = ag::make_tensor(std::move(target), {tiles * k, k}, false);
+  phi_u_.clear();
+  phi_v_.clear();
+  for (auto& s : pu) phi_u_.push_back(ag::make_tensor(std::move(s), {tiles, k}, true));
+  for (auto& s : pv) phi_v_.push_back(ag::make_tensor(std::move(s), {tiles, k}, true));
+  sigma_ = Tensor::full({tiles, k}, 1.0f, /*requires_grad=*/true);
 }
 
 Tensor MatrixFitTask::loss_shard(SuperMesh& mesh, bool validation,
                                  std::int64_t lo, std::int64_t hi,
                                  std::int64_t items) {
   (void)validation;  // same targets for both splits in the synthetic proxy
+  const std::int64_t k = mesh.k();
+  const std::int64_t n = hi - lo;
+  auto rows = [&](const std::vector<Tensor>& stacks) {
+    std::vector<Tensor> out;
+    out.reserve(stacks.size());
+    for (const auto& s : stacks) out.push_back(ag::slice2d(s, lo, n, 0, k));
+    return out;
+  };
+  CxTensor u = mesh.tile_unitary_batched(Side::u, rows(phi_u_));
+  CxTensor v = mesh.tile_unitary_batched(Side::v, rows(phi_v_));
+  // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
+  CxTensor w = ag::bcmatmul(ag::bcscale_cols(u, ag::slice2d(sigma_, lo, n, 0, k)), v);
+  Tensor sq = ag::square(ag::sub(ag::reshape(w.re, {n * k, k}),
+                                 ag::slice2d(targets_, lo * k, n * k, 0, k)));
+  // Per-tile MSE terms, added in ascending tile order.
   Tensor total = Tensor::scalar(0.0f);
-  for (std::int64_t t = lo; t < hi; ++t) {
-    CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
-    CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
-    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
-    const std::int64_t k = mesh.k();
-    CxTensor us = ag::cscale(
-        u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));
-    CxTensor w = ag::cmatmul(us, v);
-    Tensor err = ag::sub(w.re, targets_[static_cast<std::size_t>(t)]);
-    total = ag::add(total, ag::mean(ag::square(err)));
+  for (std::int64_t t = 0; t < n; ++t) {
+    total = ag::add(total, ag::mean(ag::slice2d(sq, t * k, k, 0, k)));
   }
   return ag::mul_scalar(total, 1.0f / static_cast<float>(items));
 }
 
 std::vector<Tensor> MatrixFitTask::weights() {
-  std::vector<Tensor> out;
-  for (auto& tile : phi_u_) {
-    for (auto& p : tile) out.push_back(p);
-  }
-  for (auto& tile : phi_v_) {
-    for (auto& p : tile) out.push_back(p);
-  }
-  for (auto& s : sigma_) out.push_back(s);
+  std::vector<Tensor> out = phi_u_;
+  out.insert(out.end(), phi_v_.begin(), phi_v_.end());
+  out.push_back(sigma_);
   return out;
 }
 

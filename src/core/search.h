@@ -9,8 +9,10 @@
 // footprint constraint is sampled from the learned selection distribution.
 //
 // The task being optimized is abstracted behind ProxyTask so the same driver
-// serves the built-in matrix-fitting proxy (tests, Fig. 5 ablations) and the
-// CNN proxy in src/nn (paper main results).
+// serves the built-in matrix-fitting proxy (tests and the quickstart,
+// pdk_adaptation and serve examples) and the CNN proxy in src/nn (paper main
+// results). The Fig. 5 ablation benches drive the ALM and footprint terms
+// directly and use neither.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,8 @@ namespace adept::core {
 
 // A differentiable training task driving the search. Implementations own the
 // per-tile weights (phases Phi, diagonals Sigma, plus any classifier
-// parameters) and build their loss through SuperMesh::tile_unitary, per
-// step and per item range (the shard API below).
+// parameters) and build their loss through SuperMesh::tile_unitary_batched,
+// per step and per item range (the shard API below).
 class ProxyTask {
  public:
   virtual ~ProxyTask() = default;
@@ -147,7 +149,9 @@ SearchResult run_search_data_parallel(
 
 // Built-in proxy: fit a bank of random target matrices with W = U Sigma V
 // (real part), loss = mean squared error. Exercises the full search stack
-// without the NN substrate; used by unit tests and the Fig. 5 ablations.
+// without the NN substrate; used by tests and the quickstart,
+// pdk_adaptation and serve examples. A shard builds all of its tiles'
+// unitaries in one batched chain per side.
 class MatrixFitTask : public ProxyTask {
  public:
   MatrixFitTask(int tiles, std::uint64_t seed);
@@ -166,10 +170,10 @@ class MatrixFitTask : public ProxyTask {
  private:
   int tiles_;
   adept::Rng rng_;
-  std::vector<ag::Tensor> targets_;            // [K,K] constants per tile
-  std::vector<std::vector<ag::Tensor>> phi_u_; // [tile][block] -> [K]
-  std::vector<std::vector<ag::Tensor>> phi_v_;
-  std::vector<ag::Tensor> sigma_;              // [K] per tile
+  ag::Tensor targets_;                // [T*K,K] constant, tile t in rows t*K..
+  std::vector<ag::Tensor> phi_u_;     // [block] -> [T,K]
+  std::vector<ag::Tensor> phi_v_;
+  ag::Tensor sigma_;                  // [T,K]
 };
 
 }  // namespace adept::core

@@ -117,40 +117,14 @@ void SuperMesh::begin_step(double tau, adept::Rng& rng, bool stochastic) {
   adept::bump_param_version();
 }
 
-CxTensor SuperMesh::tile_unitary(Side side, const std::vector<Tensor>& phases) const {
-  ag::check(step_ready_, "tile_unitary: call begin_step first");
-  const StepState& s = step(side);
-  const int nb = config_.super_blocks_per_unitary;
-  ag::check(static_cast<int>(phases.size()) == nb,
-            "tile_unitary: need one phase vector per block");
-  const std::int64_t k = config_.k;
-  CxTensor acc = CxTensor::eye(k);
-  for (int b = 0; b < nb; ++b) {
-    // Fused block transfer P~ * T * R(Phi) (Eq. 2/6): one tape node, phase
-    // column applied in the gemm epilogue.
-    CxTensor block = ag::block_transfer(s.p_tilde[static_cast<std::size_t>(b)],
-                                        s.coupler_mat[static_cast<std::size_t>(b)],
-                                        phases[static_cast<std::size_t>(b)]);
-    // m_{b,1} * I + m_{b,2} * block (Eq. 6), fused — no materialized
-    // identity or scaled re/im intermediates.
-    CxTensor mixed =
-        block_always_on(b)
-            ? block
-            : ag::cmix_identity(s.skip[static_cast<std::size_t>(b)],
-                                s.select[static_cast<std::size_t>(b)], block);
-    acc = ag::cmatmul(mixed, acc);
-  }
-  if (config_.normalize_unitaries && !perms_frozen_) {
-    // Approximate-unitary statistics stabilization (Sec. 3.3.2).
-    acc = side == Side::u ? ag::row_normalize(acc) : ag::col_normalize(acc);
-  }
-  return acc;
+const SuperMesh::StepState& SuperMesh::step_exprs(Side side) const {
+  ag::check(step_ready_, "SuperMesh: call begin_step first");
+  return side == Side::u ? step_u_ : step_v_;
 }
 
 CxTensor SuperMesh::tile_unitary_batched(
     Side side, const std::vector<Tensor>& phase_stacks) const {
-  ag::check(step_ready_, "tile_unitary_batched: call begin_step first");
-  const StepState& s = step(side);
+  const StepState& s = step_exprs(side);
   const int nb = config_.super_blocks_per_unitary;
   ag::check(static_cast<int>(phase_stacks.size()) == nb,
             "tile_unitary_batched: need one [T,K] phase stack per block");
@@ -160,8 +134,7 @@ CxTensor SuperMesh::tile_unitary_batched(
             "tile_unitary_batched: phase stacks must be [T,K]");
   const std::int64_t tiles = phase_stacks[0].dim(0);
   // The chain seeds from ONE shared identity (bcmatmul broadcasts a 2-D
-  // right operand), so even the first product runs the same accumulation as
-  // the per-tile cmatmul-with-eye and stays bit-exact against it.
+  // right operand).
   CxTensor acc = CxTensor::eye(k);
   for (int b = 0; b < nb; ++b) {
     CxTensor block =
@@ -201,10 +174,9 @@ double SuperMesh::select_probability(Side side, int b) const {
 }
 
 Tensor SuperMesh::footprint_penalty_expr(const FootprintConfig& config) const {
-  ag::check(step_ready_, "footprint_penalty_expr: call begin_step first");
   Tensor expected_proxy = Tensor::scalar(0.0f);
   for (Side side : {Side::u, Side::v}) {
-    const StepState& s = step(side);
+    const StepState& s = step_exprs(side);
     for (int b = 0; b < config_.super_blocks_per_unitary; ++b) {
       Tensor f_block =
           block_footprint_proxy(config_.k, s.t_quantized[static_cast<std::size_t>(b)],

@@ -16,7 +16,7 @@
 //
 // Usage per training step:
 //   sm.begin_step(tau, rng, stochastic);     // sample + rebuild topology exprs
-//   ag::CxTensor u = sm.tile_unitary(Side::u, phases);  // per tile
+//   ag::CxTensor u = sm.tile_unitary_batched(Side::u, phase_stacks);  // [T,K,K]
 //   loss = task + alm.penalty(sm.all_relaxed_perms()) + sm.footprint_penalty(cfg)
 #pragma once
 
@@ -72,17 +72,23 @@ class SuperMesh {
   // it the sample is the plain softmax of theta (evaluation).
   void begin_step(double tau, adept::Rng& rng, bool stochastic = true);
 
-  // Mixed-block unitary for one tile given per-block phases ([K] each,
-  // caller-owned). Builds on the expressions cached by begin_step.
-  ag::CxTensor tile_unitary(Side side, const std::vector<ag::Tensor>& phases) const;
-
-  // Stacked unitaries [T,K,K] for all T tiles of a layer at once:
-  // `phase_stacks[b]` is a [T,K] phase stack for block b (caller-owned).
-  // Every block advances ALL tiles through one batched tape node
-  // (bblock_transfer / bcmix_identity / bcmatmul) instead of T scalar
-  // chains; bit-exact against T tile_unitary calls, values and gradients.
+  // Stacked mixed-block unitaries [T,K,K] for T tiles at once (T = 1 for a
+  // single tile): `phase_stacks[b]` is a [T,K] phase stack for block b
+  // (caller-owned). Every block advances ALL tiles through one batched tape
+  // node (bblock_transfer / bcmix_identity / bcmatmul), built on the
+  // expressions cached by begin_step.
   ag::CxTensor tile_unitary_batched(
       Side side, const std::vector<ag::Tensor>& phase_stacks) const;
+
+  // The per-step block expressions of one side, as built by begin_step.
+  struct StepState {
+    // m_{b,1} (skip) and m_{b,2} (select) as [1] scalars per block.
+    std::vector<ag::Tensor> skip, select;
+    std::vector<ag::Tensor> p_tilde;        // reparametrized perms
+    std::vector<ag::Tensor> t_quantized;    // STE-binarized couplers
+    std::vector<ag::CxTensor> coupler_mat;  // T_b matrices
+  };
+  const StepState& step_exprs(Side side) const;
 
   // All reparametrized permutations of the current step (U blocks then V),
   // for the ALM penalty.
@@ -118,21 +124,11 @@ class SuperMesh {
     std::vector<ag::Tensor> t_latent;  // latent couplers per block
     std::vector<ag::Tensor> p_raw;     // raw relaxed perms per block
   };
-  struct StepState {
-    // m_{b,1} (skip) and m_{b,2} (select) as [1] scalars per block.
-    std::vector<ag::Tensor> skip, select;
-    std::vector<ag::Tensor> p_tilde;        // reparametrized perms
-    std::vector<ag::Tensor> t_quantized;    // STE-binarized couplers
-    std::vector<ag::CxTensor> coupler_mat;  // T_b matrices
-  };
 
   const UnitaryParams& params(Side side) const {
     return side == Side::u ? u_ : v_;
   }
   UnitaryParams& params(Side side) { return side == Side::u ? u_ : v_; }
-  const StepState& step(Side side) const {
-    return side == Side::u ? step_u_ : step_v_;
-  }
 
   UnitaryParams make_unitary(adept::Rng& rng) const;
   StepState make_step(const UnitaryParams& p, double tau, adept::Rng& rng,

@@ -171,24 +171,6 @@ CxTensor PtcWeight::batched_fixed_unitary(const std::vector<CxTensor>& pt_consts
   return acc;
 }
 
-CxTensor PtcWeight::fixed_tile_unitary(const std::vector<CxTensor>& pt_consts,
-                                       const std::vector<Tensor>& phases) {
-  const std::int64_t k = binding_.k;
-  CxTensor acc = CxTensor::eye(k);
-  for (std::size_t b = 0; b < pt_consts.size(); ++b) {
-    Tensor phi = phases[b];
-    if (noise_sigma_ > 0.0) {
-      std::vector<float> drift(static_cast<std::size_t>(k));
-      for (auto& d : drift) d = static_cast<float>(noise_rng_.normal(0.0, noise_sigma_));
-      phi = ag::add(phi, ag::make_tensor(std::move(drift), phi.shape(), false));
-    }
-    // Block transfer (P*T) * R(phi); R diagonal => fused column scaling.
-    CxTensor scaled = ag::colphase_scale(pt_consts[b], phi);
-    acc = ag::cmatmul(scaled, acc);
-  }
-  return acc;
-}
-
 Tensor PtcWeight::build_weight() {
   const std::int64_t k = binding_.k;
   CxTensor u, v;
@@ -234,37 +216,6 @@ Tensor PtcWeight::weight_expr() {
     cached_version_ = version;
   }
   return w;
-}
-
-Tensor PtcWeight::weight_expr_per_tile() {
-  if (binding_.kind == PtcBinding::Kind::dense) return dense_weight_;
-  const std::int64_t k = binding_.k;
-  std::vector<Tensor> tiles;
-  tiles.reserve(static_cast<std::size_t>(p_ * q_));
-  for (std::int64_t t = 0; t < p_ * q_; ++t) {
-    // Row t of each [T,K] stack as this tile's [1,K] phase vectors.
-    auto tile_rows_of = [&](const std::vector<Tensor>& stacks) {
-      std::vector<Tensor> rows;
-      rows.reserve(stacks.size());
-      for (const auto& s : stacks) rows.push_back(ag::slice2d(s, t, 1, 0, k));
-      return rows;
-    };
-    CxTensor u, v;
-    if (binding_.kind == PtcBinding::Kind::ptc) {
-      u = fixed_tile_unitary(pt_u_, tile_rows_of(phi_u_));
-      v = fixed_tile_unitary(pt_v_, tile_rows_of(phi_v_));
-    } else {
-      u = binding_.supermesh->tile_unitary(core::Side::u, tile_rows_of(phi_u_));
-      v = binding_.supermesh->tile_unitary(core::Side::v, tile_rows_of(phi_v_));
-    }
-    // W = U * diag(sigma) * V; diag => column scaling of U.
-    CxTensor us = ag::cscale(u, ag::slice2d(sigma_, t, 1, 0, k));
-    CxTensor w = ag::cmatmul(us, v);
-    tiles.push_back(w.re);  // coherent detection keeps the real part
-  }
-  Tensor blocked = ag::block_matrix(tiles, p_, q_);  // [p*K, q*K]
-  if (p_ * k == out_ && q_ * k == in_) return blocked;
-  return ag::slice2d(blocked, 0, out_, 0, in_);
 }
 
 std::vector<Tensor> PtcWeight::parameters() {

@@ -17,10 +17,10 @@
 //
 // Phases are stored as per-block [T,K] stacks (T = tile count), so all
 // tiles advance through each block of the U/V chains as ONE batched tape
-// node (bblock_transfer / bcolphase_scale / bcmatmul) instead of T scalar
-// chains. Under NoGradGuard with noise disabled, the materialized [out,in]
-// weight is cached and keyed on adept::param_version() — evaluation loops
-// rebuild the mesh once per parameter change instead of once per batch.
+// node (bblock_transfer / bcolphase_scale / bcmatmul). Under NoGradGuard
+// with noise disabled, the materialized [out,in] weight is cached and keyed
+// on adept::param_version() — evaluation loops rebuild the mesh once per
+// parameter change instead of once per batch.
 #pragma once
 
 #include <memory>
@@ -61,18 +61,11 @@ class PtcWeight {
   PtcWeight(std::int64_t out_features, std::int64_t in_features,
             const PtcBinding& binding, adept::Rng& rng);
 
-  // Weight expression [out, in] for the current step: the batched path (one
-  // tape node per chain stage for all tiles). Rebuilt per forward while
-  // gradients are tracked; cached per parameter/noise version under
-  // NoGradGuard with noise off.
+  // Weight expression [out, in] for the current step: one tape node per
+  // chain stage for all tiles. Rebuilt per forward while gradients are
+  // tracked; cached per parameter/noise version under NoGradGuard with
+  // noise off.
   ag::Tensor weight_expr();
-  // Reference implementation building each tile's chain separately (the
-  // pre-batching tape). With phase noise off it is bit-exact against
-  // weight_expr — values and gradients — at any thread count; kept for
-  // tests and the perf benches. Under noise the two paths consume the
-  // drift stream in different orders (per-tile vs per-block) and produce
-  // different, equally-distributed drift.
-  ag::Tensor weight_expr_per_tile();
   std::vector<ag::Tensor> parameters();
 
   // Gaussian phase drift injected into every phase shifter on each forward
@@ -104,8 +97,6 @@ class PtcWeight {
   ag::Tensor build_weight();  // batched chain, no cache logic
   ag::CxTensor batched_fixed_unitary(const std::vector<ag::CxTensor>& pt_consts,
                                      const std::vector<ag::Tensor>& phase_stacks);
-  ag::CxTensor fixed_tile_unitary(const std::vector<ag::CxTensor>& pt_consts,
-                                  const std::vector<ag::Tensor>& phases);
 
   std::int64_t out_, in_, p_, q_;
   PtcBinding binding_;

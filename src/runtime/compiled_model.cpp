@@ -142,15 +142,30 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
     nn::Module& m = *modules[mi];
     PlanStep s;
     s.in_numel = numel_of(cur);
+    // A NaN or infinity in a parameter would reach the served answers, so
+    // the model is refused here (reloads too: they freeze through this
+    // path).
+    auto require_finite = [mi](const std::vector<float>& xs, const char* what,
+                               const char* name) {
+      if (!std::all_of(xs.begin(), xs.end(), [](float x) { return std::isfinite(x); })) {
+        fail("module " + std::to_string(mi) + " (" + what + "): " + name +
+             " holds a non-finite value");
+      }
+    };
     // Linear/ONNLinear and Conv2d/ONNConv2d lower alike; they differ only
     // in where the [in,out] gemm weight comes from (gemm_weight).
+    auto lower_weights = [&](auto& l, const char* what) {
+      s.weight = gemm_weight(l.weight());
+      if (l.has_bias()) s.bias = l.bias().data();
+      require_finite(s.weight, what, "weight");
+      require_finite(s.bias, what, "bias");
+    };
     auto lower_linear = [&](auto& l, const char* what) {
       expect_features(what, l.in_features());
       s.kind = PlanStep::Kind::linear;
       s.in_feat = l.in_features();
       s.out_feat = l.out_features();
-      s.weight = gemm_weight(l.weight());
-      if (l.has_bias()) s.bias = l.bias().data();
+      lower_weights(l, what);
       cur = {s.out_feat};
     };
     auto lower_conv = [&](auto& c, const char* what) {
@@ -172,8 +187,7 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
       if (s.oh <= 0 || s.ow <= 0) {
         fail(std::string(what) + " output is empty for input " + dims_str(cur));
       }
-      s.weight = gemm_weight(c.weight());
-      if (c.has_bias()) s.bias = c.bias().data();
+      lower_weights(c, what);
       cur = {s.out_c, s.oh, s.ow};
     };
     if (auto* l = dynamic_cast<nn::ONNLinear*>(&m)) {
@@ -200,6 +214,10 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
       // Same expression ops.cpp's eval branch evaluates (float var + float
       // eps, double reciprocal sqrt, cast to float) — bit-identical invstd.
       const std::vector<float>& var = bn->running_var();
+      require_finite(s.mu, "BatchNorm2d", "running mean");
+      require_finite(var, "BatchNorm2d", "running variance");
+      require_finite(s.gamma, "BatchNorm2d", "gamma");
+      require_finite(s.beta, "BatchNorm2d", "beta");
       s.invstd.resize(var.size());
       for (std::size_t ci = 0; ci < var.size(); ++ci) {
         s.invstd[ci] = static_cast<float>(1.0 / std::sqrt(var[ci] + bn->eps()));

@@ -59,7 +59,9 @@ class CompiledModel {
   // dim): {C,H,W} for CNNs, {features} for MLPs. The model's training flag
   // is irrelevant — the plan always encodes eval semantics (BatchNorm
   // running stats, no noise). Throws std::runtime_error for module types
-  // the lowering does not know or shape mismatches along the walk.
+  // the lowering does not know, shape mismatches along the walk, or a
+  // weight, bias or BatchNorm statistic holding a NaN or infinity (the
+  // message names the module).
   static CompiledModel freeze(nn::OnnModel& model,
                               std::vector<std::int64_t> input_dims,
                               FreezeOptions options = {});

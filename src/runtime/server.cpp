@@ -1,6 +1,7 @@
 #include "runtime/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 
@@ -140,6 +141,15 @@ std::future<std::vector<float>> Server::submit_impl(std::vector<float> input,
     throw std::invalid_argument(
         "Server::submit: input has " + std::to_string(input.size()) +
         " values, model expects " + std::to_string(input_numel_));
+  }
+  // A NaN or infinity would otherwise come back as a silently non-finite
+  // answer.
+  const auto bad = std::find_if(input.begin(), input.end(),
+                                [](float x) { return !std::isfinite(x); });
+  if (bad != input.end()) {
+    throw std::invalid_argument("Server::submit: input value " +
+                                std::to_string(bad - input.begin()) +
+                                " is not finite");
   }
   Request req;
   req.input = std::move(input);

@@ -157,8 +157,9 @@ class Server {
   // Enqueue one sample of input_numel() floats; the future resolves to its
   // output_numel() result row. Full-queue behavior is config().policy (see
   // the file comment); the config default deadline applies. Throws
-  // std::invalid_argument on a size mismatch; failures surface through the
-  // future as RejectedError / DeadlineExceededError / ShutdownError.
+  // std::invalid_argument, before enqueueing, on a size mismatch or a NaN /
+  // infinite input value (naming the first one); failures surface through
+  // the future as RejectedError / DeadlineExceededError / ShutdownError.
   std::future<std::vector<float>> submit(std::vector<float> input);
   // Same, with a per-request deadline override (microseconds from now;
   // 0 = no deadline for this request, whatever the config says).

@@ -1,8 +1,9 @@
 // Batched multi-tile mesh evaluation: cgemm_batched and the batched chain
-// ops must be bit-exact against the per-tile compositions they replace —
-// values AND gradients, at any thread count — and the materialized
-// eval-weight cache must invalidate exactly on parameter/noise version
-// bumps (optimizer step, set_phase_noise, begin_step).
+// ops must be bit-exact against the per-tile compositions they replace (the
+// test-only reference in mesh_reference.h) — values AND gradients, at any
+// thread count — and the materialized eval-weight cache must invalidate
+// exactly on parameter/noise version bumps (optimizer step, set_phase_noise,
+// begin_step).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "common/version.h"
 #include "core/supermesh.h"
+#include "mesh_reference.h"
 #include "nn/onn_layers.h"
 #include "optim/optimizer.h"
 #include "photonics/builders.h"
@@ -30,6 +32,7 @@ namespace be = adept::backend;
 namespace core = adept::core;
 namespace nn = adept::nn;
 namespace ph = adept::photonics;
+namespace ref = adept::test::ref;
 using adept::Rng;
 using adept::test::pool_fanouts;
 using ag::CxTensor;
@@ -227,7 +230,7 @@ TEST(BatchedOps, BlockMatrixStackedMatchesTileList) {
     tiles.push_back(ag::make_tensor(std::move(d), {k, k}, false));
   }
   Tensor a = ag::block_matrix(stacked, p, q);
-  Tensor b = ag::block_matrix(tiles, p, q);
+  Tensor b = ref::block_matrix(tiles, p, q);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     ASSERT_EQ(a.data()[i], b.data()[i]);
@@ -239,19 +242,19 @@ TEST(BatchedOps, BlockMatrixStackedMatchesTileList) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-// ---- batched vs per-tile weight_expr: bit-exactness -----------------------
+// ---- batched weight_expr vs the per-tile reference: bit-exactness ---------
 
 // Runs fwd+bwd through `expr()` with a sum-of-squares head and returns the
 // gradient snapshot of every parameter. `reset` rebuilds any shared step
 // expressions before the pass: backward passes accumulate into intermediate
 // node grads, so tapes reused across two backward calls (something normal
 // training never does — one backward per begin_step) must be rebuilt.
-std::vector<std::vector<float>> grads_of(nn::PtcWeight& w, Tensor (nn::PtcWeight::*expr)(),
+std::vector<std::vector<float>> grads_of(const std::function<Tensor()>& expr,
                                          std::vector<Tensor> params,
                                          const std::function<void()>& reset) {
   reset();
   for (auto& p : params) p.zero_grad();
-  Tensor out = (w.*expr)();
+  Tensor out = expr();
   ag::sum(ag::square(out)).backward();
   std::vector<std::vector<float>> grads;
   for (auto& p : params) grads.push_back(p.grad());
@@ -272,14 +275,14 @@ void expect_weight_paths_bit_exact(
     if (fans_out && threads > 1) {
       EXPECT_GT(pool_fanouts(), fanouts) << "threads " << threads;
     }
-    Tensor per_tile = w.weight_expr_per_tile();
+    Tensor per_tile = ref::weight_expr_per_tile(w);
     ASSERT_EQ(batched.shape(), per_tile.shape());
     for (std::size_t i = 0; i < batched.data().size(); ++i) {
       ASSERT_EQ(batched.data()[i], per_tile.data()[i])
           << "value elem " << i << " threads " << threads;
     }
-    const auto gb = grads_of(w, &nn::PtcWeight::weight_expr, params, reset);
-    const auto gp = grads_of(w, &nn::PtcWeight::weight_expr_per_tile, params, reset);
+    const auto gb = grads_of([&] { return w.weight_expr(); }, params, reset);
+    const auto gp = grads_of([&] { return ref::weight_expr_per_tile(w); }, params, reset);
     for (std::size_t pi = 0; pi < params.size(); ++pi) {
       ASSERT_EQ(gb[pi].size(), gp[pi].size());
       for (std::size_t i = 0; i < gb[pi].size(); ++i) {

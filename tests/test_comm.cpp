@@ -3,8 +3,9 @@
 // headline guarantee — N-rank search/training results are ASSERT_EQ
 // bit-identical to 1-rank at any kernel thread count.
 //
-// Suites: Comm* are cheap and thread-heavy (they run under the TSan CI leg);
-// RankParity* are the heavier end-to-end parity checks (Release legs only).
+// Suites: Comm* are cheap collective checks; RankParity* are the heavier
+// end-to-end parity checks. Both run under the TSan CI leg, since their rank
+// threads lease cores from the kernel budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -261,7 +262,7 @@ TEST(Comm, ReducerGradientsBitIdenticalAcrossWorldSizes) {
         for (std::size_t i = 0; i < n; ++i) g[i] = shard_grad(s, i);
         reducer.add_shard({static_cast<double>(s)});
       }
-      const auto sc = reducer.finish(c);
+      const auto sc = reducer.finish(&c);
       if (c.rank() == 0) {
         grads[world] = p.grad();
         scalars[world] = sc.at(0);
@@ -305,8 +306,17 @@ void assert_traces_equal(const core::SearchTrace& a, const core::SearchTrace& b)
     ASSERT_EQ(a.footprint_penalty[i], b.footprint_penalty[i]) << "step " << i;
     ASSERT_EQ(a.expected_footprint[i], b.expected_footprint[i]) << "step " << i;
     ASSERT_EQ(a.alm_lambda[i], b.alm_lambda[i]) << "step " << i;
+    ASSERT_EQ(a.alm_rho[i], b.alm_rho[i]) << "step " << i;
     ASSERT_EQ(a.permutation_error[i], b.permutation_error[i]) << "step " << i;
   }
+}
+
+// Everything a search returns: all six trace vectors, the final metric and
+// the sampled topology.
+void assert_results_equal(const core::SearchResult& a, const core::SearchResult& b) {
+  assert_traces_equal(a.trace, b.trace);
+  ASSERT_EQ(a.final_metric, b.final_metric);
+  ASSERT_EQ(a.topology.serialize(), b.topology.serialize());
 }
 
 TEST(RankParity, MatrixFitSearchBitIdenticalAcrossRanks) {
@@ -321,18 +331,12 @@ TEST(RankParity, MatrixFitSearchBitIdenticalAcrossRanks) {
   const auto r1 = run_at(1);
   const auto r2 = run_at(2);
   const auto r4 = run_at(4);
-  assert_traces_equal(r1.trace, r2.trace);
-  assert_traces_equal(r1.trace, r4.trace);
-  ASSERT_EQ(r1.final_metric, r2.final_metric);
-  ASSERT_EQ(r1.final_metric, r4.final_metric);
-  ASSERT_EQ(r1.topology.footprint_um2(config.footprint.pdk),
-            r4.topology.footprint_um2(config.footprint.pdk));
+  assert_results_equal(r1, r2);
+  assert_results_equal(r1, r4);
   // And the whole family is thread-count independent.
   {
     be::ThreadScope scope(2);
-    const auto r4t2 = run_at(4);
-    assert_traces_equal(r1.trace, r4t2.trace);
-    ASSERT_EQ(r1.final_metric, r4t2.final_metric);
+    assert_results_equal(r1, run_at(4));
   }
 }
 
@@ -354,8 +358,7 @@ TEST(RankParity, OnnProxySearchBitIdenticalAcrossRanks) {
   };
   const auto r1 = core::run_search_data_parallel(config, make_task, 1);
   const auto r4 = core::run_search_data_parallel(config, make_task, 4);
-  assert_traces_equal(r1.trace, r4.trace);
-  ASSERT_EQ(r1.final_metric, r4.final_metric);
+  assert_results_equal(r1, r4);
 }
 
 nn::OnnModel parity_model(std::uint64_t seed) {
@@ -441,16 +444,7 @@ TEST(RankParity, SingleProcessSearchMatchesOneRankAtOneItem) {
   };
   auto task = make_task();
   const auto single = core::AdeptSearcher(config, *task).run();
-  const auto ranked = core::run_search_data_parallel(config, make_task, 1);
-  ASSERT_EQ(single.trace.task_loss, ranked.trace.task_loss);
-  ASSERT_EQ(single.trace.alm_lambda, ranked.trace.alm_lambda);
-  ASSERT_EQ(single.trace.alm_rho, ranked.trace.alm_rho);
-  ASSERT_EQ(single.trace.permutation_error, ranked.trace.permutation_error);
-  ASSERT_EQ(single.trace.expected_footprint, ranked.trace.expected_footprint);
-  ASSERT_EQ(single.trace.footprint_penalty, ranked.trace.footprint_penalty);
-  ASSERT_EQ(single.final_metric, ranked.final_metric);
-  ASSERT_EQ(single.topology.footprint_um2(config.footprint.pdk),
-            ranked.topology.footprint_um2(config.footprint.pdk));
+  assert_results_equal(single, core::run_search_data_parallel(config, make_task, 1));
 }
 
 TEST(RankParity, SingleProcessTrainingMatchesOneRankAtBatchOne) {

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <thread>
 
 #include "autograd/ops.h"
@@ -155,6 +157,48 @@ TEST(CompiledModel, FrozenWeightsAreSnapshots) {
   bool any_diff = false;
   for (std::size_t i = 0; i < tape.size(); ++i) any_diff |= tape[i] != before[i];
   EXPECT_TRUE(any_diff);
+}
+
+TEST(CompiledModel, RefusesNonFiniteParameters) {
+  auto expect_refused = [](nn::OnnModel& model, std::vector<std::int64_t> dims,
+                           const std::string& what) {
+    try {
+      rt::CompiledModel::freeze(model, std::move(dims));
+      ADD_FAILURE() << "froze a model with a non-finite " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  {
+    // A NaN in the dense layer's weight.
+    nn::OnnModel model = make_mlp(24);
+    auto* fc = dynamic_cast<nn::ONNLinear*>(model.onn_layers[1]);
+    ASSERT_NE(fc, nullptr);
+    fc->weight().dense_weight().data()[3] = nan;
+    adept::bump_param_version();
+    expect_refused(model, {18}, "module 2 (ONNLinear): weight");
+  }
+  {
+    // An infinite Sigma makes the PTC layer's materialized weight non-finite.
+    nn::OnnModel model = make_mlp(25);
+    auto* fc = dynamic_cast<nn::ONNLinear*>(model.onn_layers[0]);
+    ASSERT_NE(fc, nullptr);
+    fc->weight().sigma_stack().data()[0] = std::numeric_limits<float>::infinity();
+    adept::bump_param_version();
+    expect_refused(model, {18}, "module 0 (ONNLinear): weight");
+  }
+  {
+    // A NaN running variance in the CNN's BatchNorm.
+    nn::OnnModel model = make_cnn(26);
+    for (const auto& m : nn::flatten_modules(model.net)) {
+      if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(m.get())) {
+        bn->running_var()[0] = nan;
+        break;
+      }
+    }
+    expect_refused(model, {1, 12, 12}, "(BatchNorm2d): running variance");
+  }
 }
 
 TEST(CompiledModel, RejectsUnknownShapes) {
@@ -415,6 +459,22 @@ TEST(Server, RejectsWrongInputSize) {
   rt::CompiledModel cm = rt::CompiledModel::freeze(model, {18});
   rt::Server server(cm, rt::ServerConfig{});
   EXPECT_THROW(server.submit(std::vector<float>(7)), std::invalid_argument);
+  // Non-finite inputs are refused before they reach a worker, naming the
+  // first bad value.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> x(18, 0.5f);
+    x[11] = bad;
+    x[13] = bad;
+    try {
+      server.submit(x);
+      ADD_FAILURE() << "accepted input value " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("value 11 "), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(server.submit(std::vector<float>(18, 0.5f)).get().size(), 4u);
 }
 
 // ---- ADEPT_SERVE_* env knob clamping ------------------------------------

@@ -24,7 +24,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -428,6 +430,56 @@ TEST_F(ServerRobustnessTest, FailedReloadLeavesOldModelServing) {
   // A missing checkpoint file also leaves the old model serving.
   EXPECT_THROW(server.reload(path + ".does-not-exist"), std::runtime_error);
   EXPECT_EQ(server.submit(x).get(), before);
+  std::remove(path.c_str());
+}
+
+TEST_F(ServerRobustnessTest, NonFiniteCheckpointReloadRefusedUnderLoad) {
+  nn::OnnModel model = make_mlp(99);
+  auto cm = std::make_shared<rt::CompiledModel>(rt::CompiledModel::freeze(model, {18}));
+  // The same model with one NaN phase, checkpointed: its materialized PTC
+  // weight is NaN wherever that phase reaches.
+  nn::OnnModel bad = make_mlp(99);
+  auto* fc = dynamic_cast<nn::ONNLinear*>(bad.onn_layers[0]);
+  ASSERT_NE(fc, nullptr);
+  fc->weight().phi_u()[0].data()[0] = std::numeric_limits<float>::quiet_NaN();
+  const std::string path = ::testing::TempDir() + "adept_reload_nan.bin";
+  rt::save_checkpoint(bad, path);
+
+  rt::ServerConfig cfg;
+  cfg.threads = 2;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 50;
+  cfg.policy = rt::OverloadPolicy::block;
+  rt::Server server(cm, cfg);
+  Rng rng(10);
+  const std::vector<float> x = random_input(18, rng);
+  const std::vector<float> before = server.submit(x).get();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> submitted{0};
+  std::vector<std::future<std::vector<float>>> answers;
+  std::thread submitter([&] {
+    while (!stop.load(std::memory_order_relaxed) && answers.size() < 4000) {
+      answers.push_back(server.submit(x));
+      submitted.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (submitted.load(std::memory_order_relaxed) < 64) std::this_thread::yield();
+  for (int r = 0; r < 3; ++r) {
+    try {
+      server.reload(path);
+      ADD_FAILURE() << "reloaded a checkpoint with a NaN phase";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+    }
+  }
+  stop = true;
+  submitter.join();
+  // The old model answered everything, before, during and after.
+  for (auto& f : answers) ASSERT_EQ(f.get(), before);
+  EXPECT_EQ(server.submit(x).get(), before);
+  EXPECT_EQ(server.stats().reloads, 0u);
+  server.shutdown();
   std::remove(path.c_str());
 }
 

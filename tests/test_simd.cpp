@@ -232,49 +232,36 @@ TEST(SimdDispatch, GemmBatchedMatchesPerItemBitExactPerLevel) {
   }
 }
 
-// ---- rcgemm parity (dense and sparse A, with and without phases) -----------
+// ---- rcgemm parity (dense and sparse A) -----------------------------------
 
 TEST(SimdDispatch, RcgemmParityAcrossLevels) {
   const auto levels = simd_levels();
   if (levels.empty()) GTEST_SKIP() << "no SIMD level available";
   for (const Shape& sh : kAwkwardShapes) {
     for (Trans ta : {Trans::N, Trans::T}) {
-      for (bool phased : {false, true}) {
-        Rng rng(31);
-        const std::int64_t lda = ta == Trans::N ? sh.k : sh.m;
-        const auto a = random_vec(
-            static_cast<std::size_t>((ta == Trans::N ? sh.m : sh.k) * lda), rng);
-        const std::size_t bn = static_cast<std::size_t>(sh.k * sh.n);
-        const auto br = random_vec(bn, rng), bi = random_vec(bn, rng);
-        std::vector<float> cc(static_cast<std::size_t>(sh.n));
-        std::vector<float> ss(static_cast<std::size_t>(sh.n));
-        for (std::int64_t j = 0; j < sh.n; ++j) {
-          const float phi = static_cast<float>(rng.uniform(-3.0, 3.0));
-          cc[static_cast<std::size_t>(j)] = std::cos(phi);
-          ss[static_cast<std::size_t>(j)] = std::sin(phi);
-        }
-        const std::size_t cn = static_cast<std::size_t>(sh.m * sh.n);
-        std::vector<float> rr(cn), ri(cn);
-        {
-          SimdScope scope(SimdLevel::scalar);
-          be::rcgemm(ta, sh.m, sh.n, sh.k, a.data(), lda, br.data(), bi.data(),
-                     sh.n, 0.0f, rr.data(), ri.data(), sh.n,
-                     phased ? cc.data() : nullptr, phased ? ss.data() : nullptr);
-        }
-        for (SimdLevel level : levels) {
-          SimdScope scope(level);
-          std::vector<float> gr(cn), gi(cn);
-          be::rcgemm(ta, sh.m, sh.n, sh.k, a.data(), lda, br.data(), bi.data(),
-                     sh.n, 0.0f, gr.data(), gi.data(), sh.n,
-                     phased ? cc.data() : nullptr, phased ? ss.data() : nullptr);
-          for (std::size_t i = 0; i < cn; ++i) {
-            ASSERT_NEAR(gr[i], rr[i], 2e-4f)
-                << be::simd_level_name(level) << " phased=" << phased
-                << " re elem " << i;
-            ASSERT_NEAR(gi[i], ri[i], 2e-4f)
-                << be::simd_level_name(level) << " phased=" << phased
-                << " im elem " << i;
-          }
+      Rng rng(31);
+      const std::int64_t lda = ta == Trans::N ? sh.k : sh.m;
+      const auto a = random_vec(
+          static_cast<std::size_t>((ta == Trans::N ? sh.m : sh.k) * lda), rng);
+      const std::size_t bn = static_cast<std::size_t>(sh.k * sh.n);
+      const auto br = random_vec(bn, rng), bi = random_vec(bn, rng);
+      const std::size_t cn = static_cast<std::size_t>(sh.m * sh.n);
+      std::vector<float> rr(cn), ri(cn);
+      {
+        SimdScope scope(SimdLevel::scalar);
+        be::rcgemm(ta, sh.m, sh.n, sh.k, a.data(), lda, br.data(), bi.data(),
+                   sh.n, 0.0f, rr.data(), ri.data(), sh.n);
+      }
+      for (SimdLevel level : levels) {
+        SimdScope scope(level);
+        std::vector<float> gr(cn), gi(cn);
+        be::rcgemm(ta, sh.m, sh.n, sh.k, a.data(), lda, br.data(), bi.data(),
+                   sh.n, 0.0f, gr.data(), gi.data(), sh.n);
+        for (std::size_t i = 0; i < cn; ++i) {
+          ASSERT_NEAR(gr[i], rr[i], 2e-4f)
+              << be::simd_level_name(level) << " re elem " << i;
+          ASSERT_NEAR(gi[i], ri[i], 2e-4f)
+              << be::simd_level_name(level) << " im elem " << i;
         }
       }
     }
@@ -457,29 +444,6 @@ TEST(SimdMath, LogSoftmaxRowsParityAcrossLevels) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_NEAR(got[i], ref[i], 1e-5f)
           << be::simd_level_name(level) << " elem " << i;
-    }
-  }
-}
-
-TEST(SimdMath, CmulPlanarParityAcrossLevels) {
-  const std::size_t n = 517;  // vector tail
-  Rng rng(67);
-  const auto ar = random_vec(n, rng), ai = random_vec(n, rng);
-  const auto br = random_vec(n, rng), bi = random_vec(n, rng);
-  std::vector<float> rr(n), ri(n);
-  {
-    SimdScope scope(SimdLevel::scalar);
-    be::cmul_planar(n, ar.data(), ai.data(), br.data(), bi.data(), rr.data(),
-                    ri.data());
-  }
-  for (SimdLevel level : simd_levels()) {
-    SimdScope scope(level);
-    std::vector<float> gr(n), gi(n);
-    be::cmul_planar(n, ar.data(), ai.data(), br.data(), bi.data(), gr.data(),
-                    gi.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(gr[i], rr[i], 1e-6f) << be::simd_level_name(level);
-      ASSERT_NEAR(gi[i], ri[i], 1e-6f) << be::simd_level_name(level);
     }
   }
 }

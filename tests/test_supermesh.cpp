@@ -20,19 +20,23 @@ core::SuperMeshConfig small_config(int k = 4, int blocks = 3, int always_on = 1)
   return config;
 }
 
+// One tile's [1,K] phase stack per block.
 std::vector<Tensor> zero_phases(const core::SuperMesh& mesh) {
   std::vector<Tensor> phases;
   for (int b = 0; b < mesh.blocks_per_unitary(); ++b) {
-    phases.push_back(Tensor::zeros({mesh.k()}, true));
+    phases.push_back(Tensor::zeros({1, mesh.k()}, true));
   }
   return phases;
 }
 
+// The single tile of a [1,K,K] stack.
 ph::CMat to_cmat(const ag::CxTensor& t) {
-  ph::CMat m(t.dim(0), t.dim(1));
-  for (std::int64_t i = 0; i < t.dim(0); ++i) {
-    for (std::int64_t j = 0; j < t.dim(1); ++j) {
-      m.at(i, j) = ph::cplx(t.re.at(i, j), t.im.at(i, j));
+  const std::int64_t k = t.dim(1);
+  ph::CMat m(k, k);
+  for (std::int64_t i = 0; i < k; ++i) {
+    for (std::int64_t j = 0; j < k; ++j) {
+      const auto e = static_cast<std::size_t>(i * k + j);
+      m.at(i, j) = ph::cplx(t.re.data()[e], t.im.data()[e]);
     }
   }
   return m;
@@ -76,7 +80,7 @@ TEST(SuperMesh, SelectProbabilityFollowsTheta) {
 TEST(SuperMesh, TileUnitaryRequiresBeginStep) {
   Rng rng(5);
   core::SuperMesh mesh(small_config(), rng);
-  EXPECT_THROW(mesh.tile_unitary(core::Side::u, zero_phases(mesh)),
+  EXPECT_THROW(mesh.tile_unitary_batched(core::Side::u, zero_phases(mesh)),
                std::invalid_argument);
 }
 
@@ -85,9 +89,8 @@ TEST(SuperMesh, TileUnitaryShapeAndGrads) {
   core::SuperMesh mesh(small_config(4, 3, 1), rng);
   mesh.begin_step(1.0, rng);
   auto phases = zero_phases(mesh);
-  ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
-  EXPECT_EQ(u.dim(0), 4);
-  EXPECT_EQ(u.dim(1), 4);
+  ag::CxTensor u = mesh.tile_unitary_batched(core::Side::u, phases);
+  EXPECT_EQ(u.shape(), (std::vector<std::int64_t>{1, 4, 4}));
   ag::Tensor loss = ag::add(ag::sum(ag::square(u.re)), ag::sum(ag::square(u.im)));
   loss.backward();
   // Gradients reach phases, theta, t, and P.
@@ -129,7 +132,7 @@ TEST(SuperMesh, UnitaryAfterLegalizationIsExactlyUnitary) {
   mesh.legalize_permutations(rng);
   mesh.begin_step(0.5, rng, /*stochastic=*/false);
   auto phases = zero_phases(mesh);
-  ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
+  ag::CxTensor u = mesh.tile_unitary_batched(core::Side::u, phases);
   EXPECT_LT(to_cmat(u).unitarity_error(), 1e-5);
 }
 
