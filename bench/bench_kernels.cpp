@@ -325,33 +325,6 @@ adept::bench::JsonRecord cgemm_record(std::int64_t n) {
   return make_record("cgemm_f32", static_cast<double>(n), flops, t_naive, t);
 }
 
-adept::bench::JsonRecord gemm_batched_record() {
-  // Trainer-shaped stack: 24 mini-batches of [16, 256] against a shared
-  // [256, 10] classifier head.
-  const std::int64_t batch = 24, m = 16, k = 256, n = 10;
-  adept::Rng rng(6);
-  std::vector<float> a(static_cast<std::size_t>(batch * m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
-  std::vector<float> c(static_cast<std::size_t>(batch * m * n));
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  const double flops = 2.0 * static_cast<double>(batch) * m * k * n;
-  // Baseline: one naive 2-D matmul dispatch per mini-batch (the pre-port
-  // trainer pattern).
-  const double t_naive = adept::bench::time_best([&] {
-    for (std::int64_t bi = 0; bi < batch; ++bi) {
-      naive_matmul(a.data() + bi * m * k, b.data(), c.data() + bi * m * n, m,
-                   k, n);
-    }
-  });
-  const auto t = time_backend([&] {
-    be::gemm_batched(batch, m, n, k, a.data(), m * k, k, be::Trans::N,
-                     b.data(), n, 0.0f, c.data(), m * n, n);
-  });
-  return make_record("gemm_f32_batched", static_cast<double>(batch), flops,
-                     t_naive, t);
-}
-
 adept::bench::JsonRecord cgemm_batched_record() {
   // Mesh-shaped stack: 16 tiles of [16,16] advancing one block of a shared
   // chain. Baseline is one cgemm dispatch per tile; backend is a single
@@ -537,41 +510,6 @@ void add_simd_level_records(adept::bench::JsonReport& report) {
                       });
   }
   {
-    // Double-precision photonics gemms (mesh-transfer chains, unitary
-    // legalization in photonics/linalg.cpp). The scalar level IS the
-    // pre-refactor zero-skipping blocked loop, bit for bit, so the
-    // `speedup_serial` of the avx records is exactly the win from folding
-    // these shapes onto the dispatched vec4d microkernels. Dense random
-    // operands keep the density probe on the dispatch path (permutation
-    // operands deliberately stay scalar).
-    const std::int64_t n = 96;
-    const std::size_t nn = static_cast<std::size_t>(n * n);
-    auto a = std::make_shared<std::vector<double>>(nn);
-    auto b = std::make_shared<std::vector<double>>(nn);
-    auto c = std::make_shared<std::vector<double>>(nn);
-    for (auto* v : {a.get(), b.get()}) {
-      for (auto& x : *v) x = rng.uniform(-1, 1);
-    }
-    add_level_records(report, "gemm_f64", static_cast<double>(n),
-                      2.0 * static_cast<double>(n) * n * n, [=] {
-                        be::gemm(be::Trans::N, be::Trans::N, n, n, n, 1.0,
-                                 a->data(), n, b->data(), n, 0.0, c->data(), n);
-                      });
-    auto za = std::make_shared<std::vector<std::complex<double>>>(nn);
-    auto zb = std::make_shared<std::vector<std::complex<double>>>(nn);
-    auto zc = std::make_shared<std::vector<std::complex<double>>>(nn);
-    for (auto* v : {za.get(), zb.get()}) {
-      for (auto& x : *v) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    }
-    add_level_records(
-        report, "zgemm_f64", static_cast<double>(n),
-        8.0 * static_cast<double>(n) * n * n, [=] {
-          be::gemm(be::Trans::N, be::Trans::T, n, n, n,
-                   std::complex<double>{1.0, 0.0}, za->data(), n, zb->data(),
-                   n, std::complex<double>{0.0, 0.0}, zc->data(), n);
-        });
-  }
-  {
     // Elementwise transcendentals: *_gflops fields are elements/s here.
     const std::int64_t n = 1 << 16;
     auto x = std::make_shared<std::vector<float>>(static_cast<std::size_t>(n));
@@ -600,7 +538,6 @@ int run_json_report(const std::string& path) {
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_record(n));
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_bt_record(n));
   for (std::int64_t n : {16, 32, 64}) report.add(cgemm_record(n));
-  report.add(gemm_batched_record());
   report.add(cgemm_batched_record());
   report.add(map_record(1u << 20));
   report.add(im2col_record());

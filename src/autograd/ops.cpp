@@ -177,32 +177,6 @@ Tensor div(const Tensor& a, const Tensor& b) {
       [](float x, float y) { return -x / (y * y); });
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; },
-                  [](float, float) { return -1.0f; });
-}
-
-Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); },
-                  [](float, float y) { return y; });
-}
-
-Tensor log(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return std::log(std::max(x, 1e-12f)); },
-      [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
-}
-
-Tensor sin(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sin(x); },
-                  [](float x, float) { return std::cos(x); });
-}
-
-Tensor cos(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::cos(x); },
-                  [](float x, float) { return -std::sin(x); });
-}
-
 Tensor sqrt(const Tensor& a) {
   return unary_op(
       a, [](float x) { return std::sqrt(std::max(x, 0.0f)); },
@@ -224,17 +198,6 @@ Tensor square(const Tensor& a) {
 Tensor relu(const Tensor& a) {
   return unary_op(a, [](float x) { return x > 0.0f ? x : 0.0f; },
                   [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor sigmoid(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
-}
-
-Tensor tanh_t(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::tanh(x); },
-                  [](float, float y) { return 1.0f - y * y; });
 }
 
 Tensor reciprocal(const Tensor& a) {
@@ -261,28 +224,6 @@ Tensor mul_scalar(const Tensor& a, float s) {
                   [s](float, float) { return s; });
 }
 
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary_op(
-      a, [p](float x) { return std::pow(x, p); },
-      [p](float x, float) {
-        return p * std::pow(std::max(x, 1e-12f), p - 1.0f);
-      });
-}
-
-Tensor round_ste(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::round(x); },
-                  [](float, float) { return 1.0f; });
-}
-
-Tensor ste_replace(const Tensor& a, std::vector<float> forward_values) {
-  check(forward_values.size() == a.data().size(), "ste_replace: size mismatch");
-  return make_op(std::move(forward_values), a.shape(), {a}, [a](TensorImpl& o) {
-    if (!a.requires_grad()) return;
-    auto& ga = const_cast<Tensor&>(a).grad();
-    for (std::size_t i = 0; i < o.grad.size(); ++i) ga[i] += o.grad[i];
-  });
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check(a.ndim() == 2 && b.ndim() == 2, "matmul: expects 2-D tensors");
   const std::int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
@@ -307,33 +248,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                o.grad.data(), m, 1.0f, gb.data(), m);
     }
   });
-}
-
-Tensor bmm(const Tensor& a, const Tensor& b) {
-  check(a.ndim() == 3 && b.ndim() == 2, "bmm: expects [B,N,K] x [K,M]");
-  const std::int64_t bt = a.dim(0), n = a.dim(1), k = a.dim(2), m = b.dim(1);
-  check(b.dim(0) == k, "bmm: inner dims mismatch");
-  std::vector<float> out(static_cast<std::size_t>(bt * n * m));
-  be::gemm_batched(bt, n, m, k, a.data().data(), n * k, k, be::Trans::N,
-                   b.data().data(), m, 0.0f, out.data(), n * m, m);
-  return make_op(std::move(out), {bt, n, m}, {a, b},
-                 [a, b, bt, n, k, m](TensorImpl& o) {
-                   if (a.requires_grad()) {
-                     // dA[i] += dO[i] @ B^T, all batches through one call.
-                     auto& ga = const_cast<Tensor&>(a).grad();
-                     be::gemm_batched(bt, n, k, m, o.grad.data(), n * m, m,
-                                      be::Trans::T, b.data().data(), m, 1.0f,
-                                      ga.data(), n * k, k);
-                   }
-                   if (b.requires_grad()) {
-                     // dB += sum_i A[i]^T dO[i] == flatten(A)^T @ flatten(dO):
-                     // contiguous batches collapse into one [B*N,K]^T gemm.
-                     auto& gb = const_cast<Tensor&>(b).grad();
-                     be::gemm(be::Trans::T, be::Trans::N, k, m, bt * n, 1.0f,
-                              a.data().data(), k, o.grad.data(), m, 1.0f,
-                              gb.data(), m);
-                   }
-                 });
 }
 
 Tensor transpose(const Tensor& a) {
@@ -370,34 +284,6 @@ Tensor reshape(const Tensor& a, std::vector<std::int64_t> shape) {
     if (!a.requires_grad()) return;
     auto& ga = const_cast<Tensor&>(a).grad();
     for (std::size_t i = 0; i < o.grad.size(); ++i) ga[i] += o.grad[i];
-  });
-}
-
-Tensor diag(const Tensor& v) {
-  const std::int64_t k = v.numel();
-  std::vector<float> out(static_cast<std::size_t>(k * k), 0.0f);
-  const auto& vd = v.data();
-  for (std::int64_t i = 0; i < k; ++i) out[static_cast<std::size_t>(i * k + i)] = vd[static_cast<std::size_t>(i)];
-  return make_op(std::move(out), {k, k}, {v}, [v, k](TensorImpl& o) {
-    if (!v.requires_grad()) return;
-    auto& gv = const_cast<Tensor&>(v).grad();
-    for (std::int64_t i = 0; i < k; ++i) {
-      gv[static_cast<std::size_t>(i)] += o.grad[static_cast<std::size_t>(i * k + i)];
-    }
-  });
-}
-
-Tensor diag_part(const Tensor& m) {
-  check(m.ndim() == 2 && m.dim(0) == m.dim(1), "diag_part: expects square");
-  const std::int64_t k = m.dim(0);
-  std::vector<float> out(static_cast<std::size_t>(k));
-  for (std::int64_t i = 0; i < k; ++i) out[static_cast<std::size_t>(i)] = m.at(i, i);
-  return make_op(std::move(out), {k}, {m}, [m, k](TensorImpl& o) {
-    if (!m.requires_grad()) return;
-    auto& gm = const_cast<Tensor&>(m).grad();
-    for (std::int64_t i = 0; i < k; ++i) {
-      gm[static_cast<std::size_t>(i * k + i)] += o.grad[static_cast<std::size_t>(i)];
-    }
   });
 }
 
@@ -722,26 +608,6 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
                        },
                        /*grain=*/1, k * k * be::kElemCost);
                  });
-}
-
-Tensor concat_vec(const std::vector<Tensor>& parts) {
-  check(!parts.empty(), "concat_vec: empty input");
-  std::vector<float> out;
-  std::vector<std::int64_t> offsets;
-  for (const auto& p : parts) {
-    offsets.push_back(static_cast<std::int64_t>(out.size()));
-    out.insert(out.end(), p.data().begin(), p.data().end());
-  }
-  const std::int64_t total = static_cast<std::int64_t>(out.size());
-  return make_op(std::move(out), {total}, parts, [parts, offsets](TensorImpl& o) {
-    for (std::size_t pi = 0; pi < parts.size(); ++pi) {
-      const Tensor& p = parts[pi];
-      if (!p.requires_grad()) continue;
-      auto& gp = const_cast<Tensor&>(p).grad();
-      const std::size_t off = static_cast<std::size_t>(offsets[pi]);
-      for (std::size_t i = 0; i < gp.size(); ++i) gp[i] += o.grad[off + i];
-    }
-  });
 }
 
 Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,

@@ -21,43 +21,20 @@ Tensor mul(const Tensor& a, const Tensor& b);
 Tensor div(const Tensor& a, const Tensor& b);
 
 // ---- elementwise unary ----------------------------------------------------
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);          // clamps input at 1e-12 for stability
-Tensor sin(const Tensor& a);
-Tensor cos(const Tensor& a);
 Tensor sqrt(const Tensor& a);         // clamps input at 0
 Tensor abs(const Tensor& a);          // d|x|/dx = sign(x), 0 at x == 0
 Tensor square(const Tensor& a);
 Tensor relu(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor tanh_t(const Tensor& a);
 Tensor reciprocal(const Tensor& a);   // 1/x with 1e-12 magnitude clamp
 
 // ---- scalar arithmetic ------------------------------------------------
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
-Tensor pow_scalar(const Tensor& a, float p);  // x >= 0 expected for p<1
-
-// Straight-through estimators ------------------------------------------
-// Forward: round(x). Backward: identity (gradient passes through).
-Tensor round_ste(const Tensor& a);
-// Forward: value from `forward_values`; backward: identity into a.
-// Generic STE building block used by DC binarization and soft projection.
-Tensor ste_replace(const Tensor& a, std::vector<float> forward_values);
 
 // ---- matrix ops -------------------------------------------------------
 Tensor matmul(const Tensor& a, const Tensor& b);      // [N,K]x[K,M] -> [N,M]
-// Batched matmul with a shared right operand: [B,N,K]x[K,M] -> [B,N,M].
-// One tape node for the whole stack; dB reduces over the batch in a single
-// flattened gemm, dA runs through the batched kernel.
-Tensor bmm(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);                    // 2-D only
 Tensor reshape(const Tensor& a, std::vector<std::int64_t> shape);
-// Embed a vector [K] (or [K,1]) as a diagonal matrix [K,K].
-Tensor diag(const Tensor& v);
-// Extract the diagonal of [K,K] as [K].
-Tensor diag_part(const Tensor& m);
 
 // ---- reductions -------------------------------------------------------
 Tensor sum(const Tensor& a);                          // -> [1]
@@ -92,8 +69,6 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q);
 // row-vector broadcast of mul(); per-slot gradient accumulation follows the
 // same ascending-row order.
 Tensor bscale_cols(const Tensor& a, const Tensor& s);
-// Concatenate 1-D tensors (or [1] scalars) into one vector.
-Tensor concat_vec(const std::vector<Tensor>& parts);
 
 // ---- convolution / pooling support ------------------------------------
 // x: [N,C,H,W] -> columns [N*OH*OW, C*KH*KW]; backward is col2im.

@@ -15,7 +15,10 @@
 // `scalar` reproduces the pre-SIMD blocked kernels bit for bit. Levels
 // differ from each other only within float accumulation tolerance (the SIMD
 // kernels keep the same ascending-k accumulation order but fuse
-// multiply-adds); tests/test_simd.cpp pins the tolerances.
+// multiply-adds); tests/test_simd.cpp pins the tolerances. Only float
+// kernels dispatch: the double and complex<double> gemms (circuit
+// simulation, SPL's Procrustes step) run the blocked loops of kernels.cpp
+// at every level, so their results are identical at every level.
 #pragma once
 
 #include <cstddef>
@@ -74,11 +77,6 @@ struct KernelTable {
                  const float* a, std::int64_t lda, const float* br,
                  const float* bi, std::int64_t ldb, float beta, float* cr,
                  float* ci, std::int64_t ldc);
-  void (*gemm_batched)(std::int64_t batch, std::int64_t m, std::int64_t n,
-                       std::int64_t k, const float* a, std::int64_t stride_a,
-                       std::int64_t lda, Trans tb, const float* b,
-                       std::int64_t ldb, float beta, float* c,
-                       std::int64_t stride_c, std::int64_t ldc);
   void (*sincos)(std::int64_t n, const float* x, float* c, float* s);
   void (*softmax_rows)(std::int64_t rows, std::int64_t cols, const float* a,
                        float* out);
@@ -117,21 +115,6 @@ struct KernelTable {
   float (*absmax_f32)(std::size_t n, const float* x);
   void (*quantize_s8)(std::size_t n, const float* x, float inv_scale,
                       std::int8_t* out);
-  // Double-precision photonics gemms (mesh-transfer chains, SVD
-  // legalization). kernels.cpp probes operand density before routing here:
-  // permutation-like operands stay on the zero-skipping scalar loops, dense
-  // ones take these 4-wide register-tiled drivers. zgemm_planar consumes
-  // split re/im planes; the complex<double> wrapper deinterleaves into
-  // arena scratch (alpha == 1, real beta — anything else stays scalar).
-  void (*gemm_f64)(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, double alpha, const double* a,
-                   std::int64_t lda, const double* b, std::int64_t ldb,
-                   double beta, double* c, std::int64_t ldc);
-  void (*zgemm_planar)(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
-                       std::int64_t k, const double* ar, const double* ai,
-                       std::int64_t lda, const double* br, const double* bi,
-                       std::int64_t ldb, double beta, double* cr, double* ci,
-                       std::int64_t ldc);
 };
 
 // Active table for the current dispatch level; nullptr means scalar.

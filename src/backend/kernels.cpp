@@ -211,10 +211,9 @@ void cgemm_impl(CTrans ta, CTrans tb, std::int64_t m, std::int64_t n,
 // Fraction of zero entries in a stored [rows, cols] block (physical row
 // stride ld). The scalar kernels skip zero operand entries — a huge win on
 // hard permutation operands — while the SIMD tiles are branch-free; the
-// rcgemm and double/complex gemm wrappers probe density and keep sparse
-// operands on the scalar path.
-template <typename T>
-bool mostly_zero(const T* a, std::int64_t rows, std::int64_t cols,
+// rcgemm wrapper probes op(A)'s density and keeps sparse operands on the
+// scalar path.
+bool mostly_zero(const float* a, std::int64_t rows, std::int64_t cols,
                  std::int64_t ld) {
   // Verdict: >= 7/8 zeros, i.e. nonzeros * 8 <= rows * cols. Dense operands
   // (the common case in the training loop) cross the nonzero budget within
@@ -222,9 +221,9 @@ bool mostly_zero(const T* a, std::int64_t rows, std::int64_t cols,
   const std::int64_t budget = rows * cols;
   std::int64_t nonzero = 0;
   for (std::int64_t i = 0; i < rows; ++i) {
-    const T* row = a + i * ld;
+    const float* row = a + i * ld;
     for (std::int64_t j = 0; j < cols; ++j) {
-      if (row[j] != T{} && ++nonzero * 8 > budget) return false;
+      if (row[j] != 0.0f && ++nonzero * 8 > budget) return false;
     }
   }
   return true;
@@ -340,22 +339,12 @@ void quantize_s8(std::size_t n, const float* x, float inv_scale,
   }
 }
 
+// Not dispatched: the double and complex<double> gemms run these blocked
+// loops at every SIMD level (this TU compiles at the base ISA, so nothing
+// contracts into an FMA), hence identical results at every level.
 void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           double alpha, const double* a, std::int64_t lda, const double* b,
           std::int64_t ldb, double beta, double* c, std::int64_t ldc) {
-  // Dense operands route to the dispatched 4-wide tiles; permutation-like
-  // operands (the photonic P/butterfly factors) keep the zero-skipping
-  // blocked loops, which beat any dense kernel on >= 7/8-zero inputs.
-  // Results agree within double-FMA contraction tolerance (<= 1e-14 on the
-  // photonics shapes — pinned by the dispatch-parity tests); the scalar
-  // level IS the pre-dispatch path, bit for bit.
-  if (const KernelTable* t = active_kernels();
-      t && m > 0 && n > 0 && k > 0 &&
-      !mostly_zero(a, ta == Trans::N ? m : k, ta == Trans::N ? k : m, lda) &&
-      !mostly_zero(b, tb == Trans::N ? k : n, tb == Trans::N ? n : k, ldb)) {
-    t->gemm_f64(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    return;
-  }
   gemm_impl<double, true>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
@@ -364,58 +353,6 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           std::int64_t lda, const std::complex<double>* b, std::int64_t ldb,
           std::complex<double> beta, std::complex<double>* c,
           std::int64_t ldc) {
-  // Dispatched path: deinterleave the dense operands into planar arena
-  // scratch and run the 4-wide planar kernel — the deinterleave is
-  // O(m*k + k*n + m*n) against O(m*n*k) multiply work, so it amortizes
-  // even on the K=8 mesh tiles. Restricted to the photonics hot case
-  // (alpha == 1, real beta); anything fancier stays on the scalar loops,
-  // as do sparse permutation-like operands.
-  const std::int64_t ra = ta == Trans::N ? m : k, ca = ta == Trans::N ? k : m;
-  const std::int64_t rb = tb == Trans::N ? k : n, cb = tb == Trans::N ? n : k;
-  if (const KernelTable* t = active_kernels();
-      t && m > 0 && n > 0 && k > 0 && alpha == std::complex<double>{1.0} &&
-      beta.imag() == 0.0 && !mostly_zero(a, ra, ca, lda) &&
-      !mostly_zero(b, rb, cb, ldb)) {
-    ScratchArena::Scope scratch;
-    double* ap = scratch.alloc<double>(2 * ra * ca);
-    double* bp = scratch.alloc<double>(2 * rb * cb);
-    double* cp = scratch.alloc<double>(2 * m * n);
-    auto split = [](const std::complex<double>* src, std::int64_t rows,
-                    std::int64_t cols, std::int64_t ld, double* re,
-                    double* im) {
-      const std::int64_t cost = 2 * cols * kElemCost;
-      parallel_for(rows, kRowBlock, cost, [=](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const std::complex<double>* srow = src + i * ld;
-          double* rrow = re + i * cols;
-          double* irow = im + i * cols;
-          for (std::int64_t j = 0; j < cols; ++j) {
-            rrow[j] = srow[j].real();
-            irow[j] = srow[j].imag();
-          }
-        }
-      });
-    };
-    split(a, ra, ca, lda, ap, ap + ra * ca);
-    split(b, rb, cb, ldb, bp, bp + rb * cb);
-    const double rbeta = beta.real();
-    if (rbeta != 0.0) split(c, m, n, ldc, cp, cp + m * n);
-    t->zgemm_planar(ta == Trans::N ? CTrans::N : CTrans::T,
-                    tb == Trans::N ? CTrans::N : CTrans::T, m, n, k, ap,
-                    ap + ra * ca, ca, bp, bp + rb * cb, cb, rbeta, cp,
-                    cp + m * n, n);
-    parallel_for(m, kRowBlock, 2 * n * kElemCost, [=](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        std::complex<double>* crow = c + i * ldc;
-        const double* rrow = cp + i * n;
-        const double* irow = cp + m * n + i * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          crow[j] = {rrow[j], irow[j]};
-        }
-      }
-    });
-    return;
-  }
   gemm_impl<std::complex<double>, true>(ta, tb, m, n, k, alpha, a, lda, b, ldb,
                                         beta, c, ldc);
 }
@@ -618,62 +555,6 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
             crow[j] += av * brow[j] - avi * birow[j];
             cirow[j] += av * birow[j] + avi * brow[j];
           }
-        }
-      }
-    });
-  }
-}
-
-void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
-                  std::int64_t k, const float* a, std::int64_t stride_a,
-                  std::int64_t lda, Trans tb, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t stride_c,
-                  std::int64_t ldc) {
-  if (batch <= 0 || m <= 0 || n <= 0) return;
-  if (const KernelTable* t = active_kernels(); t && k > 0) {
-    t->gemm_batched(batch, m, n, k, a, stride_a, lda, tb, b, ldb, beta, c,
-                    stride_c, ldc);
-    return;
-  }
-  const std::int64_t rows = batch * m;
-  if (k <= 0) {
-    parallel_for(rows, kRowBlock, n * kElemCost, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        scale_row_beta(beta, n, c + (r / m) * stride_c + (r % m) * ldc);
-      }
-    });
-    return;
-  }
-  // Same k-panel/row-chunk structure as gemm_impl, but the row space spans
-  // all batches so B's panels are packed once and tiny per-sample products
-  // still fill whole chunks.
-  ScratchArena::Scope scratch;
-  float* bpack = tb == Trans::T
-                     ? scratch.alloc<float>(std::min(kKBlock, k) * n)
-                     : nullptr;
-  for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
-    const std::int64_t kc = std::min(kKBlock, k - k0);
-    const float* bpanel;
-    std::int64_t bstride;
-    if (tb == Trans::N) {
-      bpanel = b + k0 * ldb;
-      bstride = ldb;
-    } else {
-      pack_bt_panel(b, ldb, k0, kc, n, bpack);
-      bpanel = bpack;
-      bstride = n;
-    }
-    parallel_for(rows, kRowBlock, 2 * kc * n, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        const std::int64_t bi = r / m, i = r % m;
-        const float* arow = a + bi * stride_a + i * lda + k0;
-        float* crow = c + bi * stride_c + i * ldc;
-        if (k0 == 0) scale_row_beta(beta, n, crow);
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = bpanel + kk * bstride;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
         }
       }
     });

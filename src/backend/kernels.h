@@ -1,7 +1,8 @@
 // Dense kernel layer shared by the autograd ops and the photonic linear
 // algebra: cache-blocked threaded GEMM with logical transpose variants, fused
 // elementwise map/zip kernels, deterministic reductions, and im2col/col2im
-// for the CNN proxy.
+// for the CNN proxy. The float kernels dispatch to SIMD microkernels
+// (dispatch.h); the double and complex<double> gemms do not.
 //
 // Every kernel partitions work over disjoint output ranges with chunk
 // boundaries that depend only on the problem size (see parallel.h), so
@@ -34,6 +35,10 @@ enum class CTrans { N, T, H };
 void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float beta, float* c, std::int64_t ldc);
+// Double precision for the K x K circuit model and SPL's Procrustes step:
+// blocked loops that skip zero entries of op(A) (permutation factors are
+// mostly zeros), run at every SIMD level, so results are identical at every
+// level.
 void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           double alpha, const double* a, std::int64_t lda, const double* b,
           std::int64_t ldb, double beta, double* c, std::int64_t ldc);
@@ -137,11 +142,10 @@ void rcgemm(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
 // t in [0, batch). Operand planes are [batch, m, k] / [batch, k, n] stacks
 // with physical batch strides `stride_a` / `stride_b` (rows inside one item
 // stride by `lda` / `ldb`); a batch stride of 0 shares that operand across
-// the whole batch — the shared-operand analogue of `gemm_batched`'s panel
-// reuse (a shared transposed/conjugated op(B) is packed once per k-panel
-// for all batch items). The row/k chunking spans the whole [batch*m] row
-// space so tiny per-tile products still fill whole chunks, and the
-// per-element accumulation order (two-step k pairing) is identical to
+// the whole batch (a shared transposed/conjugated op(B) is packed once per
+// k-panel for all batch items). The row/k chunking spans the whole
+// [batch*m] row space so tiny per-tile products still fill whole chunks, and
+// the per-element accumulation order (two-step k pairing) is identical to
 // `cgemm`, making a batched call bit-exact against per-item cgemm calls at
 // any thread count.
 void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
@@ -150,17 +154,6 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
                    const float* br, const float* bi, std::int64_t stride_b,
                    std::int64_t ldb, float beta, float* cr, float* ci,
                    std::int64_t stride_c, std::int64_t ldc);
-
-// Batched gemm with a shared right operand: C[b] = A[b] @ op(B) + beta*C[b]
-// for b in [0, batch). A is [batch, m, k] with physical batch stride
-// `stride_a` (rows inside a batch stride by `lda`), C likewise. The row/k
-// chunking spans the whole [batch*m] row space, so small per-sample matmuls
-// amortize dispatch and pack op(B) panels once for all batches.
-void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
-                  std::int64_t k, const float* a, std::int64_t stride_a,
-                  std::int64_t lda, Trans tb, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t stride_c,
-                  std::int64_t ldc);
 
 // Simultaneous cos/sin of a phase vector — the exp(-i*phi) table feeding the
 // phase-column ops. SIMD levels use a Cephes-style

@@ -313,103 +313,6 @@ inline float hmax8(vec8f a) {
 
 #endif  // portable scalar
 
-// ---- 4-wide double vectors -------------------------------------------------
-// The double-precision companion of vec8f, used by the photonics gemm
-// microkernels (f64 and planar complex<double>). Same ISA selection and
-// inline-namespace ABI split; only the ops those kernels need are provided.
-
-constexpr int kDLanes = 4;
-
-#if defined(ADEPT_SIMD_X86_256)
-
-struct vec4d {
-  __m256d v;
-};
-
-inline vec4d zero4d() { return {_mm256_setzero_pd()}; }
-inline vec4d broadcast4d(double x) { return {_mm256_set1_pd(x)}; }
-inline vec4d load4d(const double* p) { return {_mm256_loadu_pd(p)}; }
-inline void store4d(double* p, vec4d a) { _mm256_storeu_pd(p, a.v); }
-
-#if defined(ADEPT_SIMD_X86_MASK)
-inline vec4d load4d_partial(const double* p, int n) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  return {_mm256_maskz_loadu_pd(m, p)};
-}
-inline void store4d_partial(double* p, int n, vec4d a) {
-  const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
-  _mm256_mask_storeu_pd(p, m, a.v);
-}
-#else
-inline __m256i tail_mask_d(int n) {
-  const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n), iota);
-}
-inline vec4d load4d_partial(const double* p, int n) {
-  return {_mm256_maskload_pd(p, tail_mask_d(n))};
-}
-inline void store4d_partial(double* p, int n, vec4d a) {
-  _mm256_maskstore_pd(p, tail_mask_d(n), a.v);
-}
-#endif
-
-inline vec4d add4d(vec4d a, vec4d b) { return {_mm256_add_pd(a.v, b.v)}; }
-inline vec4d mul4d(vec4d a, vec4d b) { return {_mm256_mul_pd(a.v, b.v)}; }
-// a*b + c
-inline vec4d fmadd4d(vec4d a, vec4d b, vec4d c) {
-  return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-}
-// c - a*b
-inline vec4d fnmadd4d(vec4d a, vec4d b, vec4d c) {
-  return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
-}
-
-#else  // portable scalar
-
-struct vec4d {
-  double l[kDLanes];
-};
-
-inline vec4d zero4d() { return vec4d{}; }
-inline vec4d broadcast4d(double x) {
-  vec4d r;
-  for (int i = 0; i < kDLanes; ++i) r.l[i] = x;
-  return r;
-}
-inline vec4d load4d(const double* p) {
-  vec4d r;
-  std::memcpy(r.l, p, sizeof(r.l));
-  return r;
-}
-inline void store4d(double* p, vec4d a) { std::memcpy(p, a.l, sizeof(a.l)); }
-inline vec4d load4d_partial(const double* p, int n) {
-  vec4d r{};
-  for (int i = 0; i < n; ++i) r.l[i] = p[i];
-  return r;
-}
-inline void store4d_partial(double* p, int n, vec4d a) {
-  for (int i = 0; i < n; ++i) p[i] = a.l[i];
-}
-
-inline vec4d add4d(vec4d a, vec4d b) {
-  for (int i = 0; i < kDLanes; ++i) a.l[i] += b.l[i];
-  return a;
-}
-inline vec4d mul4d(vec4d a, vec4d b) {
-  for (int i = 0; i < kDLanes; ++i) a.l[i] *= b.l[i];
-  return a;
-}
-inline vec4d fmadd4d(vec4d a, vec4d b, vec4d c) {
-  for (int i = 0; i < kDLanes; ++i) c.l[i] = std::fma(a.l[i], b.l[i], c.l[i]);
-  return c;
-}
-inline vec4d fnmadd4d(vec4d a, vec4d b, vec4d c) {
-  for (int i = 0; i < kDLanes; ++i) c.l[i] = std::fma(-a.l[i], b.l[i], c.l[i]);
-  return c;
-}
-
-#endif  // vec4d portable scalar
-
 // ---- transcendental helpers ------------------------------------------------
 
 // e^x, Cephes expf polynomial: inputs clamped to the float-representable

@@ -18,51 +18,6 @@ Tensor kaiming_uniform(std::vector<std::int64_t> shape, std::int64_t fan_in,
   return ag::make_tensor(std::move(data), std::move(shape), /*requires_grad=*/true);
 }
 
-Linear::Linear(std::int64_t in_features, std::int64_t out_features, adept::Rng& rng,
-               bool bias)
-    : in_(in_features), out_(out_features) {
-  weight_ = kaiming_uniform({in_, out_}, in_, rng);
-  if (bias) bias_ = Tensor::zeros({1, out_}, /*requires_grad=*/true);
-}
-
-Tensor Linear::forward(const Tensor& x) {
-  // 2-D mini-batches use the plain gemm; stacked [G,N,in] groups go through
-  // the batched kernel as a single tape node.
-  Tensor y = x.ndim() == 3 ? ag::bmm(x, weight_) : ag::matmul(x, weight_);
-  if (bias_.defined()) y = ag::add(y, bias_);
-  return y;
-}
-
-std::vector<Tensor> Linear::parameters() {
-  std::vector<Tensor> out = {weight_};
-  if (bias_.defined()) out.push_back(bias_);
-  return out;
-}
-
-Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
-               adept::Rng& rng, std::int64_t stride, std::int64_t pad, bool bias)
-    : in_c_(in_channels), out_c_(out_channels), k_(kernel), stride_(stride), pad_(pad) {
-  const std::int64_t fan_in = in_c_ * k_ * k_;
-  weight_ = kaiming_uniform({fan_in, out_c_}, fan_in, rng);
-  if (bias) bias_ = Tensor::zeros({1, out_c_}, /*requires_grad=*/true);
-}
-
-Tensor Conv2d::forward(const Tensor& x) {
-  const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const std::int64_t ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  Tensor cols = ag::im2col(x, k_, k_, stride_, pad_);  // [N*OH*OW, C*k*k]
-  Tensor y = ag::matmul(cols, weight_);                // [N*OH*OW, out_c]
-  if (bias_.defined()) y = ag::add(y, bias_);
-  return ag::rows_to_nchw(y, n, oh, ow);
-}
-
-std::vector<Tensor> Conv2d::parameters() {
-  std::vector<Tensor> out = {weight_};
-  if (bias_.defined()) out.push_back(bias_);
-  return out;
-}
-
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
     : channels_(channels), momentum_(momentum), eps_(eps) {
   gamma_ = Tensor::full({channels_}, 1.0f, /*requires_grad=*/true);

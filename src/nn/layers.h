@@ -1,54 +1,13 @@
-// Standard (electronic) NN layers used around the photonic tensor cores:
-// the paper's models keep BatchNorm / ReLU / pooling / flatten in
-// electronics and map the matmul-heavy Linear/Conv onto PTCs (onn_layers.h).
+// Electronic NN layers used around the photonic tensor cores: the paper's
+// models keep BatchNorm / ReLU / pooling / flatten in electronics and map
+// every matmul-bearing layer onto a PTC (onn_layers.h). A dense layer is an
+// ONNLinear / ONNConv2d with PtcBinding::dense().
 #pragma once
 
 #include "common/rng.h"
 #include "nn/module.h"
 
 namespace adept::nn {
-
-class Linear : public Module {
- public:
-  Linear(std::int64_t in_features, std::int64_t out_features, adept::Rng& rng,
-         bool bias = true);
-  ag::Tensor forward(const ag::Tensor& x) override;  // [N, in] -> [N, out]
-  std::vector<ag::Tensor> parameters() override;
-
-  ag::Tensor& weight() { return weight_; }
-  ag::Tensor& bias() { return bias_; }
-  bool has_bias() const { return bias_.defined(); }
-  std::int64_t in_features() const { return in_; }
-  std::int64_t out_features() const { return out_; }
-
- private:
-  std::int64_t in_, out_;
-  ag::Tensor weight_;  // [in, out]
-  ag::Tensor bias_;    // [1, out] (undefined when bias=false)
-};
-
-class Conv2d : public Module {
- public:
-  Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
-         adept::Rng& rng, std::int64_t stride = 1, std::int64_t pad = 0,
-         bool bias = true);
-  ag::Tensor forward(const ag::Tensor& x) override;  // [N,C,H,W]
-  std::vector<ag::Tensor> parameters() override;
-
-  ag::Tensor& weight() { return weight_; }
-  ag::Tensor& bias() { return bias_; }
-  bool has_bias() const { return bias_.defined(); }
-  std::int64_t in_channels() const { return in_c_; }
-  std::int64_t out_channels() const { return out_c_; }
-  std::int64_t kernel() const { return k_; }
-  std::int64_t stride() const { return stride_; }
-  std::int64_t pad() const { return pad_; }
-
- private:
-  std::int64_t in_c_, out_c_, k_, stride_, pad_;
-  ag::Tensor weight_;  // [C*k*k, out_c]
-  ag::Tensor bias_;    // [1, out_c]
-};
 
 class BatchNorm2d : public Module {
  public:
@@ -125,7 +84,7 @@ class Flatten : public Module {
   ag::Tensor forward(const ag::Tensor& x) override;
 };
 
-// Kaiming-uniform weight init helper shared by layers.
+// Kaiming-uniform weight init: the dense PtcWeight's initializer.
 ag::Tensor kaiming_uniform(std::vector<std::int64_t> shape, std::int64_t fan_in,
                            adept::Rng& rng);
 

@@ -235,11 +235,7 @@ ONNLinear::ONNLinear(std::int64_t in_features, std::int64_t out_features,
 
 Tensor ONNLinear::forward(const Tensor& x) {
   Tensor w = weight_.weight_expr();  // [out, in]
-  // A stacked [G,N,in] group of mini-batches runs through the batched gemm
-  // as one tape node; the weight expression is built once for the whole
-  // group either way.
-  Tensor y = x.ndim() == 3 ? ag::bmm(x, ag::transpose(w))
-                           : ag::matmul(x, ag::transpose(w));
+  Tensor y = ag::matmul(x, ag::transpose(w));
   if (bias_.defined()) y = ag::add(y, bias_);
   return y;
 }

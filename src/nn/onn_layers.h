@@ -8,7 +8,8 @@
 // the real part of the complex transfer (coherent detection).
 //
 // Three interchangeable weight implementations:
-//   dense      plain trainable matrix (electronic reference)
+//   dense      plain trainable matrix: the electronic reference, and the
+//              only dense Linear / Conv2d in nn/
 //   ptc        a frozen PtcTopology (searched design or MZI/FFT baseline);
 //              supports Gaussian phase-noise injection for variation-aware
 //              training and robustness evaluation (Fig. 4)

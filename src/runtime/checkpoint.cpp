@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,12 +32,12 @@ namespace {
 constexpr char kMagic[8] = {'A', 'D', 'E', 'P', 'T', 'C', 'K', 'P'};
 
 // Module record tags (format version 1). Append-only: new layer kinds get
-// new tags, existing tags never change meaning.
+// new tags, existing tags never change meaning. Tags 3 and 4 (the retired
+// electronic Linear / Conv2d) are never reused, so a file carrying one
+// fails as an unknown module tag.
 enum class Tag : std::uint8_t {
   onn_linear = 1,
   onn_conv2d = 2,
-  linear = 3,
-  conv2d = 4,
   batchnorm2d = 5,
   relu = 6,
   maxpool2d = 7,
@@ -53,7 +55,18 @@ std::string hex32(std::uint32_t v) {
   throw std::runtime_error("checkpoint: " + msg);
 }
 
-void put_f32_array(std::string& out, const std::vector<float>& v) {
+// A NaN or infinity in a parameter would reach every answer the model
+// gives, so neither save nor load lets one through (freeze refuses them
+// too).
+void require_finite(const std::vector<float>& v, const std::string& what) {
+  if (!std::all_of(v.begin(), v.end(), [](float x) { return std::isfinite(x); })) {
+    fail(what + " holds a non-finite value");
+  }
+}
+
+void put_f32_array(std::string& out, const std::vector<float>& v,
+                   const std::string& what) {
+  require_finite(v, what);
   binio::put_u64(out, v.size());
   for (float x : v) binio::put_f32(out, x);
 }
@@ -98,6 +111,7 @@ std::vector<float> read_f32_array(binio::Reader& r, const std::string& what,
   }
   std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = r.f32(what.c_str());
+  require_finite(v, what);
   return v;
 }
 
@@ -135,16 +149,23 @@ void put_ptc_weight_config(std::string& out, nn::PtcWeight& w, TopologyTable& ta
   }
 }
 
-void put_ptc_weight_params(std::string& out, nn::PtcWeight& w) {
+// Field names match load_ptc_weight_params, so save and load name a bad
+// array alike.
+void put_ptc_weight_params(std::string& out, nn::PtcWeight& w,
+                           const std::string& where) {
   if (w.binding().kind == nn::PtcBinding::Kind::dense) {
-    put_f32_array(out, w.dense_weight().data());
+    put_f32_array(out, w.dense_weight().data(), where + " dense weight");
     return;
   }
   binio::put_u32(out, static_cast<std::uint32_t>(w.phi_u().size()));
-  for (auto& t : w.phi_u()) put_f32_array(out, t.data());
+  for (std::size_t b = 0; b < w.phi_u().size(); ++b) {
+    put_f32_array(out, w.phi_u()[b].data(), where + " phi_u[" + std::to_string(b) + "]");
+  }
   binio::put_u32(out, static_cast<std::uint32_t>(w.phi_v().size()));
-  for (auto& t : w.phi_v()) put_f32_array(out, t.data());
-  put_f32_array(out, w.sigma_stack().data());
+  for (std::size_t b = 0; b < w.phi_v().size(); ++b) {
+    put_f32_array(out, w.phi_v()[b].data(), where + " phi_v[" + std::to_string(b) + "]");
+  }
+  put_f32_array(out, w.sigma_stack().data(), where + " sigma");
 }
 
 void serialize_module(std::string& out, nn::Module& m, TopologyTable& table,
@@ -156,8 +177,8 @@ void serialize_module(std::string& out, nn::Module& m, TopologyTable& table,
     binio::put_i64(out, l->out_features());
     binio::put_u8(out, l->has_bias() ? 1 : 0);
     put_ptc_weight_config(out, l->weight(), table, where + " (ONNLinear)");
-    put_ptc_weight_params(out, l->weight());
-    if (l->has_bias()) put_f32_array(out, l->bias().data());
+    put_ptc_weight_params(out, l->weight(), where + " (ONNLinear)");
+    if (l->has_bias()) put_f32_array(out, l->bias().data(), where + " bias");
   } else if (auto* c = dynamic_cast<nn::ONNConv2d*>(&m)) {
     binio::put_u8(out, static_cast<std::uint8_t>(Tag::onn_conv2d));
     binio::put_i64(out, c->in_channels());
@@ -167,34 +188,17 @@ void serialize_module(std::string& out, nn::Module& m, TopologyTable& table,
     binio::put_i64(out, c->pad());
     binio::put_u8(out, c->has_bias() ? 1 : 0);
     put_ptc_weight_config(out, c->weight(), table, where + " (ONNConv2d)");
-    put_ptc_weight_params(out, c->weight());
-    if (c->has_bias()) put_f32_array(out, c->bias().data());
-  } else if (auto* l = dynamic_cast<nn::Linear*>(&m)) {
-    binio::put_u8(out, static_cast<std::uint8_t>(Tag::linear));
-    binio::put_i64(out, l->in_features());
-    binio::put_i64(out, l->out_features());
-    binio::put_u8(out, l->has_bias() ? 1 : 0);
-    put_f32_array(out, l->weight().data());
-    if (l->has_bias()) put_f32_array(out, l->bias().data());
-  } else if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-    binio::put_u8(out, static_cast<std::uint8_t>(Tag::conv2d));
-    binio::put_i64(out, c->in_channels());
-    binio::put_i64(out, c->out_channels());
-    binio::put_i64(out, c->kernel());
-    binio::put_i64(out, c->stride());
-    binio::put_i64(out, c->pad());
-    binio::put_u8(out, c->has_bias() ? 1 : 0);
-    put_f32_array(out, c->weight().data());
-    if (c->has_bias()) put_f32_array(out, c->bias().data());
+    put_ptc_weight_params(out, c->weight(), where + " (ONNConv2d)");
+    if (c->has_bias()) put_f32_array(out, c->bias().data(), where + " bias");
   } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
     binio::put_u8(out, static_cast<std::uint8_t>(Tag::batchnorm2d));
     binio::put_i64(out, bn->channels());
     binio::put_f32(out, bn->momentum());
     binio::put_f32(out, bn->eps());
-    put_f32_array(out, bn->gamma().data());
-    put_f32_array(out, bn->beta().data());
-    put_f32_array(out, bn->running_mean());
-    put_f32_array(out, bn->running_var());
+    put_f32_array(out, bn->gamma().data(), where + " gamma");
+    put_f32_array(out, bn->beta().data(), where + " beta");
+    put_f32_array(out, bn->running_mean(), where + " running_mean");
+    put_f32_array(out, bn->running_var(), where + " running_var");
   } else if (dynamic_cast<nn::ReLU*>(&m) != nullptr) {
     binio::put_u8(out, static_cast<std::uint8_t>(Tag::relu));
   } else if (auto* mp = dynamic_cast<nn::MaxPool2d*>(&m)) {
@@ -417,32 +421,6 @@ LoadedCheckpoint decode_checkpoint(const std::string& bytes) {
         if (bias) load_tensor(r, c->bias(), where + " bias");
         result.model.net->add(c);
         result.model.onn_layers.push_back(c.get());
-        break;
-      }
-      case Tag::linear: {
-        const std::int64_t in = read_dim(r, where + " in_features", 1, kMaxFeatureDim);
-        const std::int64_t out = read_dim(r, where + " out_features", 1, kMaxFeatureDim);
-        (void)checked_mul(in, out, where + " Linear weight");
-        const bool bias = r.u8((where + " bias flag").c_str()) != 0;
-        auto l = std::make_shared<nn::Linear>(in, out, rng, bias);
-        load_tensor(r, l->weight(), where + " weight");
-        if (bias) load_tensor(r, l->bias(), where + " bias");
-        result.model.net->add(l);
-        break;
-      }
-      case Tag::conv2d: {
-        const std::int64_t in_c = read_dim(r, where + " in_channels", 1, kMaxFeatureDim);
-        const std::int64_t out_c = read_dim(r, where + " out_channels", 1, kMaxFeatureDim);
-        const std::int64_t k = read_dim(r, where + " kernel", 1, kMaxSpatialDim);
-        const std::int64_t stride = read_dim(r, where + " stride", 1, kMaxSpatialDim);
-        const std::int64_t pad = read_dim(r, where + " pad", 0, kMaxSpatialDim);
-        (void)checked_mul(checked_mul(in_c, k * k, where + " Conv2d fan-in"), out_c,
-                          where + " Conv2d weight");
-        const bool bias = r.u8((where + " bias flag").c_str()) != 0;
-        auto c = std::make_shared<nn::Conv2d>(in_c, out_c, k, rng, stride, pad, bias);
-        load_tensor(r, c->weight(), where + " weight");
-        if (bias) load_tensor(r, c->bias(), where + " bias");
-        result.model.net->add(c);
         break;
       }
       case Tag::batchnorm2d: {

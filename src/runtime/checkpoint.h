@@ -7,7 +7,11 @@
 //   * every distinct PtcTopology (legalized permutations, coupler masks)
 //     referenced by the model's photonic layers, stored once and shared,
 //   * the module graph (layer types + constructor configs) so load rebuilds
-//     the architecture without user code,
+//     the architecture without user code. The module set is ONNLinear /
+//     ONNConv2d (dense or fixed-topology binding), BatchNorm2d, ReLU,
+//     MaxPool2d, AdaptiveAvgPool2d and Flatten. Record tags 3 and 4 held the
+//     electronic Linear / Conv2d and are retired: a file carrying one fails
+//     as an unknown module tag.
 //   * all trainable parameters: per-block [T,K] phase stacks, [T,K] sigma
 //     stacks, dense weights, biases, and BatchNorm affine + running stats.
 //
@@ -23,7 +27,9 @@
 // Errors are actionable: bad magic, version skew, truncation (with the byte
 // offset and field name), CRC mismatch (stored vs computed), and
 // architecture mismatches all throw std::runtime_error explaining what was
-// being read.
+// being read. A NaN or infinity in any parameter or BatchNorm statistic is
+// refused on save (before a byte is written) and on load, naming the module
+// and the field.
 //
 // Round-trip guarantee: save -> load yields bit-identical parameter buffers,
 // hence bit-identical eval predictions (asserted in tests/test_runtime.cpp).
@@ -50,7 +56,8 @@ struct LoadedCheckpoint {
 // (they reference live search state); freeze the searched design to a
 // PtcTopology first (core::SearchResult::topology) and rebuild the model
 // with PtcBinding::fixed. Throws std::runtime_error on I/O failure (message
-// includes the path and errno/strerror) or unsupported modules.
+// includes the path and errno/strerror), unsupported modules, or a
+// non-finite parameter (nothing is written then).
 //
 // Crash-safe: bytes go to `path + ".tmp"`, are fsync'd, and atomically
 // rename(2)'d over `path` — a crash at any point leaves either the previous
@@ -63,7 +70,8 @@ void save_checkpoint(nn::OnnModel& model, const std::string& path,
 // that look like a transiently-torn read (truncation, CRC mismatch — e.g. a
 // non-atomic remote writer racing this read) are retried up to 2 more times
 // with a short backoff before the error propagates; durable corruption
-// (bad magic, version skew, implausible counts) fails immediately.
+// (bad magic, version skew, implausible counts, non-finite values) fails
+// immediately.
 LoadedCheckpoint load_checkpoint(const std::string& path);
 
 // In-memory variants backing the file API (used by tests to exercise

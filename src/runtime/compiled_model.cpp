@@ -56,10 +56,6 @@ std::vector<float> transposed(const std::vector<float>& w, std::int64_t out,
   return wt;
 }
 
-// The [in,out] gemm weight of a Linear/Conv2d layer, which stores it that
-// way already.
-std::vector<float> gemm_weight(const ag::Tensor& w) { return w.data(); }
-
 // The [in,out] gemm weight of an ONNLinear/ONNConv2d layer: its eval-time
 // [out,in] weight through the cached batched weight_expr path, with phase
 // noise suspended (sigma pushed to 0 and popped, drift stream untouched) so
@@ -152,52 +148,41 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
              " holds a non-finite value");
       }
     };
-    // Linear/ONNLinear and Conv2d/ONNConv2d lower alike; they differ only
-    // in where the [in,out] gemm weight comes from (gemm_weight).
+    // ONNLinear and ONNConv2d lower their weight and bias alike.
     auto lower_weights = [&](auto& l, const char* what) {
       s.weight = gemm_weight(l.weight());
       if (l.has_bias()) s.bias = l.bias().data();
       require_finite(s.weight, what, "weight");
       require_finite(s.bias, what, "bias");
     };
-    auto lower_linear = [&](auto& l, const char* what) {
-      expect_features(what, l.in_features());
+    if (auto* l = dynamic_cast<nn::ONNLinear*>(&m)) {
+      expect_features("ONNLinear", l->in_features());
       s.kind = PlanStep::Kind::linear;
-      s.in_feat = l.in_features();
-      s.out_feat = l.out_features();
-      lower_weights(l, what);
+      s.in_feat = l->in_features();
+      s.out_feat = l->out_features();
+      lower_weights(*l, "ONNLinear");
       cur = {s.out_feat};
-    };
-    auto lower_conv = [&](auto& c, const char* what) {
-      expect_chw(what);
-      if (cur[0] != c.in_channels()) {
-        fail(std::string(what) + " expects " + std::to_string(c.in_channels()) +
+    } else if (auto* c = dynamic_cast<nn::ONNConv2d*>(&m)) {
+      expect_chw("ONNConv2d");
+      if (cur[0] != c->in_channels()) {
+        fail("ONNConv2d expects " + std::to_string(c->in_channels()) +
              " input channels, the plan carries " + dims_str(cur));
       }
       s.kind = PlanStep::Kind::conv;
       s.c = cur[0];
       s.h = cur[1];
       s.w = cur[2];
-      s.k = c.kernel();
-      s.stride = c.stride();
-      s.pad = c.pad();
-      s.out_c = c.out_channels();
+      s.k = c->kernel();
+      s.stride = c->stride();
+      s.pad = c->pad();
+      s.out_c = c->out_channels();
       s.oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
       s.ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
       if (s.oh <= 0 || s.ow <= 0) {
-        fail(std::string(what) + " output is empty for input " + dims_str(cur));
+        fail("ONNConv2d output is empty for input " + dims_str(cur));
       }
-      lower_weights(c, what);
+      lower_weights(*c, "ONNConv2d");
       cur = {s.out_c, s.oh, s.ow};
-    };
-    if (auto* l = dynamic_cast<nn::ONNLinear*>(&m)) {
-      lower_linear(*l, "ONNLinear");
-    } else if (auto* c = dynamic_cast<nn::ONNConv2d*>(&m)) {
-      lower_conv(*c, "ONNConv2d");
-    } else if (auto* l = dynamic_cast<nn::Linear*>(&m)) {
-      lower_linear(*l, "Linear");
-    } else if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-      lower_conv(*c, "Conv2d");
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
       expect_chw("BatchNorm2d");
       if (cur[0] != bn->channels()) {

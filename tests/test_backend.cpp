@@ -673,68 +673,6 @@ TEST(GemmPacked, FallsBackWhenDispatchLevelChanges) {
   ASSERT_EQ(ref, got);
 }
 
-TEST(GemmBatched, MatchesPerSampleLoop) {
-  Rng rng(34);
-  const std::int64_t batch = 7, m = 9, n = 6, k = 11;
-  const auto a = random_vec<float>(static_cast<std::size_t>(batch * m * k), rng);
-  const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> expect(static_cast<std::size_t>(batch * m * n), 0.0f);
-  for (std::int64_t bi = 0; bi < batch; ++bi) {
-    be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data() + bi * m * k, k,
-             b.data(), n, 0.0f, expect.data() + bi * m * n, n);
-  }
-  std::vector<float> got(expect.size(), 0.0f);
-  be::gemm_batched(batch, m, n, k, a.data(), m * k, k, Trans::N, b.data(), n,
-                   0.0f, got.data(), m * n, n);
-  for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expect[i]);
-
-  // Transposed shared operand, accumulate into non-zero C.
-  const auto bt = random_vec<float>(static_cast<std::size_t>(n * k), rng);
-  auto base = random_vec<float>(expect.size(), rng);
-  auto expect_t = base;
-  for (std::int64_t bi = 0; bi < batch; ++bi) {
-    be::gemm(Trans::N, Trans::T, m, n, k, 1.0f, a.data() + bi * m * k, k,
-             bt.data(), k, 1.0f, expect_t.data() + bi * m * n, n);
-  }
-  auto got_t = base;
-  be::gemm_batched(batch, m, n, k, a.data(), m * k, k, Trans::T, bt.data(), k,
-                   1.0f, got_t.data(), m * n, n);
-  for (std::size_t i = 0; i < got_t.size(); ++i) {
-    ASSERT_NEAR(got_t[i], expect_t[i], 1e-4f);
-  }
-}
-
-// Acceptance: batched gemm identical bits at 1/2/8 threads, for a shape
-// under the work gate and one that fans out.
-TEST(Determinism, GemmBatchedBitExactAcrossThreadCounts) {
-  Rng rng(35);
-  struct Shape {
-    std::int64_t batch, m, n, k;
-  };
-  for (const Shape& sh : {Shape{24, 16, 10, 40}, Shape{24, 64, 40, 300}}) {
-    const auto a =
-        random_vec<float>(static_cast<std::size_t>(sh.batch * sh.m * sh.k), rng);
-    const auto b = random_vec<float>(static_cast<std::size_t>(sh.k * sh.n), rng);
-    std::vector<float> base;
-    for (int threads : {1, 2, 8}) {
-      std::vector<float> c(static_cast<std::size_t>(sh.batch * sh.m * sh.n), 0.0f);
-      be::ThreadScope scope(threads);
-      const std::uint64_t fanouts = pool_fanouts();
-      be::gemm_batched(sh.batch, sh.m, sh.n, sh.k, a.data(), sh.m * sh.k, sh.k,
-                       Trans::N, b.data(), sh.n, 0.0f, c.data(), sh.m * sh.n, sh.n);
-      if (threads == 1) {
-        base = c;
-        continue;
-      }
-      if (sh.m > 16) EXPECT_GT(pool_fanouts(), fanouts) << "threads=" << threads;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        ASSERT_EQ(c[i], base[i]) << "m=" << sh.m << " threads=" << threads
-                                 << " elem " << i;
-      }
-    }
-  }
-}
-
 // ---- gradchecks over the autograd ops now running on the backend ---------
 
 ag::Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng) {
@@ -766,27 +704,6 @@ TEST(BackendGradcheck, MatmulThreaded) {
       [](const std::vector<ag::Tensor>& in) {
         return ag::sum(ag::mul(ag::matmul(in[0], in[1]),
                                ag::matmul(in[0], in[1])));
-      },
-      {a, b});
-  EXPECT_TRUE(res.ok) << res.detail;
-}
-
-TEST(BackendGradcheck, BmmMatchesPerSampleMatmulAndGrads) {
-  Rng rng(24);
-  ag::Tensor a = random_tensor({3, 4, 5}, rng);
-  ag::Tensor b = random_tensor({5, 6}, rng);
-  // Forward: bmm == per-sample matmul of each [4,5] slice.
-  ag::Tensor y = ag::bmm(a, b);
-  for (std::int64_t bi = 0; bi < 3; ++bi) {
-    std::vector<float> slice(a.data().begin() + bi * 20, a.data().begin() + (bi + 1) * 20);
-    ag::Tensor yi = ag::matmul(ag::make_tensor(std::move(slice), {4, 5}, false), b);
-    for (std::size_t i = 0; i < yi.data().size(); ++i) {
-      ASSERT_NEAR(y.data()[static_cast<std::size_t>(bi * 24) + i], yi.data()[i], 1e-5f);
-    }
-  }
-  auto res = ag::gradcheck(
-      [](const std::vector<ag::Tensor>& in) {
-        return ag::sum(ag::square(ag::bmm(in[0], in[1])));
       },
       {a, b});
   EXPECT_TRUE(res.ok) << res.detail;

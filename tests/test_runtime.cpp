@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -309,6 +310,78 @@ TEST(Checkpoint, CorruptFilesFailActionably) {
   }
   {  // bytes appended after the CRC trailer
     expect_decode_error(good + "extra", "trailing garbage");
+  }
+  {  // a retired module tag (3 held the electronic Linear) under a valid CRC
+    std::string payload;
+    adept::binio::put_u8(payload, 0);   // no PDK
+    adept::binio::put_u32(payload, 0);  // no topologies
+    adept::binio::put_u32(payload, 1);  // one module
+    adept::binio::put_u8(payload, 3);
+    std::string bad = good.substr(0, 8 + 4);  // magic + version
+    adept::binio::put_u64(bad, payload.size());
+    bad += payload;
+    adept::binio::put_u32(bad, rt::crc32(payload));
+    expect_decode_error(bad, "unknown module tag 3");
+  }
+}
+
+// Saving a model that holds a NaN or an infinity throws before a byte is
+// written: no checkpoint and no stray temp file. The message names the
+// module and the field.
+TEST(Checkpoint, SaveRefusesNonFiniteParameters) {
+  const std::string path = ::testing::TempDir() + "adept_ckpt_nonfinite.bin";
+  std::remove(path.c_str());
+  auto expect_refused = [&](nn::OnnModel& model, const std::string& field) {
+    try {
+      rt::save_checkpoint(model, path);
+      ADD_FAILURE() << "saved a model with a non-finite " << field;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("non-finite"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+    }
+    EXPECT_FALSE(std::ifstream(path).good()) << field;
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << field;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  auto linear = [](nn::OnnModel& model, std::size_t i) -> nn::ONNLinear& {
+    return dynamic_cast<nn::ONNLinear&>(*model.onn_layers[i]);
+  };
+  {
+    nn::OnnModel model = make_mlp(61);
+    linear(model, 0).weight().phi_u()[0].data()[0] = nan;
+    expect_refused(model, "module 0 (ONNLinear) phi_u[0]");
+  }
+  {
+    nn::OnnModel model = make_mlp(62);
+    linear(model, 0).weight().sigma_stack().data()[1] = -inf;
+    expect_refused(model, "module 0 (ONNLinear) sigma");
+  }
+  {
+    nn::OnnModel model = make_mlp(63);
+    linear(model, 1).weight().dense_weight().data()[2] = inf;
+    expect_refused(model, "module 2 (ONNLinear) dense weight");
+  }
+  {
+    nn::OnnModel model = make_mlp(64);
+    linear(model, 1).bias().data()[0] = nan;
+    expect_refused(model, "module 2 bias");
+  }
+  for (const std::string field : {"gamma", "beta", "running_mean", "running_var"}) {
+    nn::OnnModel model = make_cnn(65);
+    const auto modules = nn::flatten_modules(model.net);
+    for (std::size_t i = 0; i < modules.size(); ++i) {
+      auto* bn = dynamic_cast<nn::BatchNorm2d*>(modules[i].get());
+      if (bn == nullptr) continue;
+      std::vector<float>& v = field == "gamma"          ? bn->gamma().data()
+                              : field == "beta"         ? bn->beta().data()
+                              : field == "running_mean" ? bn->running_mean()
+                                                        : bn->running_var();
+      v[0] = nan;
+      expect_refused(model, "module " + std::to_string(i) + " " + field);
+      break;
+    }
   }
 }
 

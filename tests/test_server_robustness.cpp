@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -436,14 +438,27 @@ TEST_F(ServerRobustnessTest, FailedReloadLeavesOldModelServing) {
 TEST_F(ServerRobustnessTest, NonFiniteCheckpointReloadRefusedUnderLoad) {
   nn::OnnModel model = make_mlp(99);
   auto cm = std::make_shared<rt::CompiledModel>(rt::CompiledModel::freeze(model, {18}));
-  // The same model with one NaN phase, checkpointed: its materialized PTC
-  // weight is NaN wherever that phase reaches.
+  // The same model with one NaN phase, checkpointed. Saving refuses a NaN,
+  // so the file is a good encoding with a sentinel phase whose bytes are
+  // swapped for a NaN, under a recomputed CRC trailer.
   nn::OnnModel bad = make_mlp(99);
   auto* fc = dynamic_cast<nn::ONNLinear*>(bad.onn_layers[0]);
   ASSERT_NE(fc, nullptr);
-  fc->weight().phi_u()[0].data()[0] = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = 1234.5f;
+  fc->weight().phi_u()[0].data()[0] = sentinel;
+  std::string bytes = rt::encode_checkpoint(bad);
+  std::string sentinel_bytes, nan_bytes;
+  adept::binio::put_f32(sentinel_bytes, sentinel);
+  adept::binio::put_f32(nan_bytes, std::numeric_limits<float>::quiet_NaN());
+  const std::size_t at = bytes.find(sentinel_bytes);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(sentinel_bytes, at + 1), std::string::npos);
+  bytes.replace(at, nan_bytes.size(), nan_bytes);
+  const std::size_t payload_begin = 8 + 4 + 8;  // magic + version + size
+  bytes.resize(bytes.size() - 4);
+  adept::binio::put_u32(bytes, rt::crc32(std::string_view(bytes).substr(payload_begin)));
   const std::string path = ::testing::TempDir() + "adept_reload_nan.bin";
-  rt::save_checkpoint(bad, path);
+  std::ofstream(path, std::ios::binary) << bytes;
 
   rt::ServerConfig cfg;
   cfg.threads = 2;
@@ -471,6 +486,9 @@ TEST_F(ServerRobustnessTest, NonFiniteCheckpointReloadRefusedUnderLoad) {
       ADD_FAILURE() << "reloaded a checkpoint with a NaN phase";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("module 0 (ONNLinear) phi_u[0]"),
+                std::string::npos)
+          << e.what();
     }
   }
   stop = true;

@@ -6,6 +6,8 @@
 //     tails in M and N, K=1, M=1, N=1) within documented float tolerances
 //   - per-level bit-exactness: thread-count determinism at every level, and
 //     batched calls vs per-item calls at the same level
+//   - the double and complex<double> gemms (and SPL's Procrustes step on
+//     them) give identical bits at every level
 //   - the vectorized transcendental helpers (sincos, exp via softmax)
 //     against libm
 //   - SimdScope clamping and the scratch arena under growth/reuse
@@ -16,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <vector>
 
@@ -27,11 +30,13 @@
 // scalar vec8f — the tests below keep that branch compiled and honest.
 #include "backend/simd.h"
 #include "common/rng.h"
+#include "photonics/linalg.h"
 #include "pool_fanouts.h"
 
 namespace {
 
 namespace be = adept::backend;
+namespace ph = adept::photonics;
 using adept::Rng;
 using adept::test::pool_fanouts;
 using be::CTrans;
@@ -211,27 +216,6 @@ TEST(SimdDispatch, CgemmBatchedMatchesPerItemBitExactPerLevel) {
   }
 }
 
-TEST(SimdDispatch, GemmBatchedMatchesPerItemBitExactPerLevel) {
-  for (SimdLevel level : be::available_simd_levels()) {
-    SimdScope scope(level);
-    const std::int64_t batch = 4, m = 7, n = 19, k = 11;
-    Rng rng(29);
-    const auto a = random_vec(static_cast<std::size_t>(batch * m * k), rng);
-    const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-    std::vector<float> c1(static_cast<std::size_t>(batch * m * n));
-    std::vector<float> c2(c1.size());
-    be::gemm_batched(batch, m, n, k, a.data(), m * k, k, Trans::N, b.data(), n,
-                     0.0f, c1.data(), m * n, n);
-    for (std::int64_t t = 0; t < batch; ++t) {
-      be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data() + t * m * k, k,
-               b.data(), n, 0.0f, c2.data() + t * m * n, n);
-    }
-    for (std::size_t i = 0; i < c1.size(); ++i) {
-      ASSERT_EQ(c1[i], c2[i]) << be::simd_level_name(level) << " elem " << i;
-    }
-  }
-}
-
 // ---- rcgemm parity (dense and sparse A) -----------------------------------
 
 TEST(SimdDispatch, RcgemmParityAcrossLevels) {
@@ -297,6 +281,81 @@ TEST(SimdDispatch, RcgemmSparsePermutationOperandStaysCorrect) {
                   br[static_cast<std::size_t>(src * k + j)]);
         ASSERT_EQ(ci[static_cast<std::size_t>(i * k + j)],
                   bi[static_cast<std::size_t>(src * k + j)]);
+      }
+    }
+  }
+}
+
+// ---- double precision: one path at every level ----------------------------
+
+// The double and complex<double> gemms serve the circuit model and SPL's
+// Procrustes step. They do not dispatch, so every level must reproduce the
+// scalar level's bits on dense operands in every layout.
+TEST(SimdDispatch, DoubleGemmIdenticalAcrossLevels) {
+  using cplx = std::complex<double>;
+  const auto levels = simd_levels();
+  if (levels.empty()) GTEST_SKIP() << "no SIMD level available";
+  for (const Shape& sh : kAwkwardShapes) {
+    for (Trans ta : {Trans::N, Trans::T}) {
+      for (Trans tb : {Trans::N, Trans::T}) {
+        for (const double beta : {0.0, 1.0}) {
+          Rng rng(47);
+          const std::int64_t lda = ta == Trans::N ? sh.k : sh.m;
+          const std::int64_t ldb = tb == Trans::N ? sh.n : sh.k;
+          const auto na = static_cast<std::size_t>((ta == Trans::N ? sh.m : sh.k) * lda);
+          const auto nb = static_cast<std::size_t>((tb == Trans::N ? sh.k : sh.n) * ldb);
+          const auto nc = static_cast<std::size_t>(sh.m * sh.n);
+          std::vector<double> a(na), b(nb), c0(nc);
+          std::vector<cplx> za(na), zb(nb), zc0(nc);
+          for (auto* v : {&a, &b, &c0}) {
+            for (double& x : *v) x = rng.uniform(-1.0, 1.0);
+          }
+          for (auto* v : {&za, &zb, &zc0}) {
+            for (cplx& x : *v) x = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+          }
+          auto run = [&](SimdLevel level, std::vector<double>& c,
+                         std::vector<cplx>& zc) {
+            SimdScope scope(level);
+            c = c0;
+            zc = zc0;
+            be::gemm(ta, tb, sh.m, sh.n, sh.k, 1.0, a.data(), lda, b.data(),
+                     ldb, beta, c.data(), sh.n);
+            be::gemm(ta, tb, sh.m, sh.n, sh.k, cplx{1.0}, za.data(), lda,
+                     zb.data(), ldb, cplx{beta}, zc.data(), sh.n);
+          };
+          std::vector<double> ref, got;
+          std::vector<cplx> zref, zgot;
+          run(SimdLevel::scalar, ref, zref);
+          for (SimdLevel level : levels) {
+            run(level, got, zgot);
+            for (std::size_t i = 0; i < nc; ++i) {
+              ASSERT_EQ(got[i], ref[i])
+                  << be::simd_level_name(level) << " m=" << sh.m << " n=" << sh.n
+                  << " k=" << sh.k << " beta=" << beta << " elem " << i;
+              ASSERT_EQ(zgot[i], zref[i])
+                  << be::simd_level_name(level) << " m=" << sh.m << " n=" << sh.n
+                  << " k=" << sh.k << " beta=" << beta << " complex elem " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  for (const std::int64_t k : {8, 16}) {
+    Rng rng(53);
+    ph::RMat sharp(k, k);
+    for (double& x : sharp.data()) x = rng.uniform(-1.0, 1.0);
+    std::vector<double> ref;
+    {
+      SimdScope scope(SimdLevel::scalar);
+      ref = ph::procrustes_orthogonalize(sharp).data();
+    }
+    for (SimdLevel level : levels) {
+      SimdScope scope(level);
+      const std::vector<double> got = ph::procrustes_orthogonalize(sharp).data();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i], ref[i])
+            << be::simd_level_name(level) << " K=" << k << " elem " << i;
       }
     }
   }
