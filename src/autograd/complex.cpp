@@ -25,7 +25,9 @@ bool tracking(std::initializer_list<const Tensor*> ts) {
 
 // One plane of a packed [2,N,M] compute node. The view owns a copy of the
 // plane's data; its backward just routes the gradient into the packed node's
-// grad buffer, where the fused backward picks up both planes at once.
+// grad buffer, where the fused backward picks up both planes at once. The
+// packed node's own data is never read (it only sizes the grad), so it is
+// taken unzeroed.
 Tensor plane_view(const Tensor& packed, std::vector<float> plane,
                   std::vector<std::int64_t> shape, std::size_t offset) {
   return make_op(
@@ -141,7 +143,7 @@ CxTensor bcmatmul(const CxTensor& a, const CxTensor& b) {
         "bcmatmul: inner dims mismatch");
   const std::int64_t sa = n * p, sb = shared_b ? 0 : p * m, sc = n * m;
   const std::size_t tnm = static_cast<std::size_t>(t * n * m);
-  std::vector<float> re(tnm), im(tnm);
+  std::vector<float> re = empty_buffer(tnm), im = empty_buffer(tnm);
   be::cgemm_batched(be::CTrans::N, be::CTrans::N, t, n, m, p,
                     a.re.data().data(), a.im.data().data(), sa, p,
                     b.re.data().data(), b.im.data().data(), sb, m, 0.0f,
@@ -151,7 +153,7 @@ CxTensor bcmatmul(const CxTensor& a, const CxTensor& b) {
             make_tensor(std::move(im), {t, n, m}, false)};
   }
   Tensor node = make_op(
-      std::vector<float>(2 * tnm, 0.0f), {2, t, n, m},
+      empty_buffer(2 * tnm), {2, t, n, m},
       {a.re, a.im, b.re, b.im},
       [ar = a.re, ai = a.im, br = b.re, bi = b.im, t, n, p, m, sa, sb, sc,
        tnm, shared_b](TensorImpl& o) {
@@ -195,7 +197,7 @@ CxTensor bcolphase_scale(const CxTensor& a, const Tensor& phi) {
   auto tab = phase_tables(phi);
   const std::int64_t nm = n * m;
   const std::size_t tnm = static_cast<std::size_t>(t * nm);
-  std::vector<float> outr(tnm), outi(tnm);
+  std::vector<float> outr = empty_buffer(tnm), outi = empty_buffer(tnm);
   {
     const float* arp = a.re.data().data();
     const float* aip = a.im.data().data();
@@ -223,7 +225,7 @@ CxTensor bcolphase_scale(const CxTensor& a, const Tensor& phi) {
             make_tensor(std::move(outi), {t, n, m}, false)};
   }
   Tensor node = make_op(
-      std::vector<float>(2 * tnm, 0.0f), {2, t, n, m}, {a.re, a.im, phi},
+      empty_buffer(2 * tnm), {2, t, n, m}, {a.re, a.im, phi},
       [ar = a.re, ai = a.im, phi, tab, t, n, m, nm, tnm](TensorImpl& o) {
         const float* gre = o.grad.data();
         const float* gim = o.grad.data() + tnm;
@@ -312,7 +314,7 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
   auto pt = std::make_shared<std::vector<float>>(static_cast<std::size_t>(2 * kk));
   be::rcgemm(be::Trans::N, k, k, k, p.data().data(), k, t.re.data().data(),
              t.im.data().data(), k, 0.0f, pt->data(), pt->data() + kk, k);
-  std::vector<float> outr(tkk), outi(tkk);
+  std::vector<float> outr = empty_buffer(tkk), outi = empty_buffer(tkk);
   {
     const float* ptr_ = pt->data();
     const float* pti_ = pt->data() + kk;
@@ -340,7 +342,7 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
             make_tensor(std::move(outi), {nt, k, k}, false)};
   }
   Tensor node = make_op(
-      std::vector<float>(2 * tkk, 0.0f), {2, nt, k, k},
+      empty_buffer(2 * tkk), {2, nt, k, k},
       {p, t.re, t.im, phi},
       [p, tr = t.re, ti_ = t.im, phi, tab, pt, k, nt, kk, tkk](TensorImpl& o) {
         const float* gre = o.grad.data();
@@ -424,7 +426,7 @@ CxTensor bcmix_identity(const Tensor& skip, const Tensor& select,
   const float se = select.data()[0];
   const std::int64_t kk = k * k;
   const std::size_t tkk = static_cast<std::size_t>(nt * kk);
-  std::vector<float> outr(tkk), outi(tkk);
+  std::vector<float> outr = empty_buffer(tkk), outi = empty_buffer(tkk);
   {
     const float* brp = block.re.data().data();
     const float* bip = block.im.data().data();
@@ -444,7 +446,7 @@ CxTensor bcmix_identity(const Tensor& skip, const Tensor& select,
             make_tensor(std::move(outi), {nt, k, k}, false)};
   }
   Tensor node = make_op(
-      std::vector<float>(2 * tkk, 0.0f), {2, nt, k, k},
+      empty_buffer(2 * tkk), {2, nt, k, k},
       {skip, select, block.re, block.im},
       [skip, select, br = block.re, bi = block.im, nt, k, kk,
        tkk](TensorImpl& o) {

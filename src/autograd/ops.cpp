@@ -72,7 +72,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, Fwd fwd, DfA dfa, DfB dfb) {
   const auto& ad = a.data();
   const auto& bd = b.data();
   const std::size_t n = static_cast<std::size_t>(big.numel());
-  std::vector<float> out(n);
+  std::vector<float> out = empty_buffer(n);
   if (kind == Bcast::same) {
     be::zip(n, ad.data(), bd.data(), out.data(), fwd);
   } else {
@@ -131,11 +131,25 @@ Tensor binary_op(const Tensor& a, const Tensor& b, Fwd fwd, DfA dfa, DfB dfb) {
                  });
 }
 
+// The gradient buffer of `t` for a gemm that adds into it with `beta` = 1.
+// A gradient not yet allocated is taken unzeroed and written with beta 0
+// instead: the gemm accumulators start at +0, so that gives the bits of
+// beta 1 over zeros without filling them (im2col's column gradient in a
+// conv backward is the largest buffer of a training step).
+float* gemm_grad(const Tensor& t, float& beta) {
+  TensorImpl& impl = *t.impl();
+  if (impl.grad.empty()) {
+    impl.grad = empty_buffer(impl.data.size());
+    beta = 0.0f;
+  }
+  return impl.grad.data();
+}
+
 // Generic unary elementwise: fwd(x) with local derivative df(x, y).
 template <typename Fwd, typename Df>
 Tensor unary_op(const Tensor& a, Fwd fwd, Df df) {
   const auto& ad = a.data();
-  std::vector<float> out(ad.size());
+  std::vector<float> out = empty_buffer(ad.size());
   be::map(ad.size(), ad.data(), out.data(), fwd);
   return make_op(std::move(out), a.shape(), {a}, [a, df](TensorImpl& o) {
     if (!a.requires_grad()) return;
@@ -228,7 +242,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   check(a.ndim() == 2 && b.ndim() == 2, "matmul: expects 2-D tensors");
   const std::int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
   check(b.dim(0) == k, "matmul: inner dims mismatch");
-  std::vector<float> out(static_cast<std::size_t>(n * m));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * m));
   be::gemm(be::Trans::N, be::Trans::N, n, m, k, 1.0f, a.data().data(), k,
            b.data().data(), m, 0.0f, out.data(), m);
   return make_op(std::move(out), {n, m}, {a, b}, [a, b, n, k, m](TensorImpl& o) {
@@ -237,15 +251,17 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     // panels internally (bounded scratch, see backend gemm).
     if (a.requires_grad()) {
       // dA += dO @ B^T : [n,m] x [m,k]
-      auto& ga = const_cast<Tensor&>(a).grad();
+      float beta = 1.0f;
+      float* ga = gemm_grad(a, beta);
       be::gemm(be::Trans::N, be::Trans::T, n, k, m, 1.0f, o.grad.data(), m,
-               b.data().data(), m, 1.0f, ga.data(), k);
+               b.data().data(), m, beta, ga, k);
     }
     if (b.requires_grad()) {
       // dB += A^T @ dO : [k,n] x [n,m]
-      auto& gb = const_cast<Tensor&>(b).grad();
+      float beta = 1.0f;
+      float* gb = gemm_grad(b, beta);
       be::gemm(be::Trans::T, be::Trans::N, k, m, n, 1.0f, a.data().data(), k,
-               o.grad.data(), m, 1.0f, gb.data(), m);
+               o.grad.data(), m, beta, gb, m);
     }
   });
 }
@@ -253,7 +269,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 Tensor transpose(const Tensor& a) {
   check(a.ndim() == 2, "transpose: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(n * m));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * m));
   const float* ad = a.data().data();
   float* op = out.data();
   be::for_each_index(
@@ -280,7 +296,9 @@ Tensor reshape(const Tensor& a, std::vector<std::int64_t> shape) {
   std::int64_t n = 1;
   for (auto d : shape) n *= d;
   check(n == a.numel(), "reshape: numel mismatch");
-  return make_op(a.data(), std::move(shape), {a}, [a](TensorImpl& o) {
+  std::vector<float> out = empty_buffer(a.data().size());
+  std::copy(a.data().begin(), a.data().end(), out.begin());
+  return make_op(std::move(out), std::move(shape), {a}, [a](TensorImpl& o) {
     if (!a.requires_grad()) return;
     auto& ga = const_cast<Tensor&>(a).grad();
     for (std::size_t i = 0; i < o.grad.size(); ++i) ga[i] += o.grad[i];
@@ -307,7 +325,7 @@ Tensor mean(const Tensor& a) {
 Tensor row_sum(const Tensor& a) {
   check(a.ndim() == 2, "row_sum: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(n), 0.0f);
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n));
   const float* ad = a.data().data();
   float* op = out.data();
   const std::int64_t row_grain = std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(m, 1));
@@ -337,7 +355,7 @@ Tensor row_sum(const Tensor& a) {
 Tensor col_sum(const Tensor& a) {
   check(a.ndim() == 2, "col_sum: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(m), 0.0f);
+  std::vector<float> out = zeros_buffer(static_cast<std::size_t>(m));
   const auto& ad = a.data();
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < m; ++j) {
@@ -358,7 +376,7 @@ Tensor col_sum(const Tensor& a) {
 Tensor tile_col_sum(const Tensor& a) {
   check(a.ndim() == 3, "tile_col_sum: expects [T,N,M]");
   const std::int64_t t = a.dim(0), n = a.dim(1), m = a.dim(2);
-  std::vector<float> out(static_cast<std::size_t>(t * m), 0.0f);
+  std::vector<float> out = zeros_buffer(static_cast<std::size_t>(t * m));
   {
     const float* ad = a.data().data();
     float* op = out.data();
@@ -396,7 +414,7 @@ Tensor bscale_cols(const Tensor& a, const Tensor& s) {
   const std::int64_t t = a.dim(0), n = a.dim(1), m = a.dim(2);
   check(s.numel() == t * m && s.dim(0) == t, "bscale_cols: s must be [T,M]");
   const auto& ad = a.data();
-  std::vector<float> out(ad.size());
+  std::vector<float> out = empty_buffer(ad.size());
   {
     const float* ap = ad.data();
     const float* sp = s.data().data();
@@ -456,7 +474,7 @@ Tensor col_l2_norm(const Tensor& a, float eps) {
 Tensor softmax_rows(const Tensor& a) {
   check(a.ndim() == 2, "softmax_rows: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(n * m));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * m));
   const std::int64_t row_grain = std::max<std::int64_t>(1, 1024 / std::max<std::int64_t>(m, 1));
   // Dispatched row-softmax: SIMD levels vectorize the max/exp/normalize
   // passes, the scalar level keeps the historical double-accumulator loop.
@@ -486,7 +504,7 @@ Tensor softmax_rows(const Tensor& a) {
 Tensor log_softmax_rows(const Tensor& a) {
   check(a.ndim() == 2, "log_softmax_rows: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(n * m));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * m));
   const std::int64_t row_grain = std::max<std::int64_t>(1, 1024 / std::max<std::int64_t>(m, 1));
   be::log_softmax_rows(n, m, a.data().data(), out.data());
   return make_op(std::move(out), {n, m}, {a}, [a, n, m, row_grain](TensorImpl& o) {
@@ -544,7 +562,7 @@ Tensor slice2d(const Tensor& a, std::int64_t r0, std::int64_t rows,
   check(a.ndim() == 2, "slice2d: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);
   check(r0 >= 0 && c0 >= 0 && r0 + rows <= n && c0 + cols <= m, "slice2d: bounds");
-  std::vector<float> out(static_cast<std::size_t>(rows * cols));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(rows * cols));
   const auto& ad = a.data();
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = 0; j < cols; ++j) {
@@ -571,7 +589,7 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
   const std::int64_t k = stacked.dim(1);
   check(stacked.dim(2) == k, "block_matrix: tiles must be square");
   const std::int64_t rows = p * k, cols = q * k;
-  std::vector<float> out(static_cast<std::size_t>(rows * cols));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(rows * cols));
   {
     const float* sd = stacked.data().data();
     float* op = out.data();
@@ -618,7 +636,7 @@ Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
   const std::int64_t ow = (w + 2 * pad - kw) / stride + 1;
   check(oh > 0 && ow > 0, "im2col: output is empty");
   const std::int64_t cols = c * kh * kw;
-  std::vector<float> out(static_cast<std::size_t>(n * oh * ow * cols));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * oh * ow * cols));
   be::im2col(x.data().data(), n, c, h, w, kh, kw, stride, pad, out.data());
   return make_op(std::move(out), {n * oh * ow, cols}, {x},
                  [x, n, c, h, w, kh, kw, stride, pad](TensorImpl& o) {
@@ -632,7 +650,7 @@ Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
 Tensor rows_to_nchw(const Tensor& x, std::int64_t n, std::int64_t oh, std::int64_t ow) {
   check(x.ndim() == 2 && x.dim(0) == n * oh * ow, "rows_to_nchw: shape mismatch");
   const std::int64_t c = x.dim(1);
-  std::vector<float> out(static_cast<std::size_t>(n * c * oh * ow));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * c * oh * ow));
   const auto& xd = x.data();
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t yo = 0; yo < oh; ++yo) {
@@ -668,7 +686,7 @@ Tensor adaptive_avgpool2d(const Tensor& x, std::int64_t out_h, std::int64_t out_
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const auto bin_start = pool_bin_start;  // shared with the compiled runtime
   const auto bin_end = pool_bin_end;
-  std::vector<float> out(static_cast<std::size_t>(n * c * out_h * out_w), 0.0f);
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * c * out_h * out_w));
   // Each (n, c) slice owns disjoint input/output planes, so the slice index
   // is the parallel dimension for both directions.
   {
@@ -729,7 +747,7 @@ Tensor maxpool2d(const Tensor& x, std::int64_t k, std::int64_t stride) {
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = (h - k) / stride + 1, ow = (w - k) / stride + 1;
   check(oh > 0 && ow > 0, "maxpool2d: output empty");
-  std::vector<float> out(static_cast<std::size_t>(n * c * oh * ow));
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * c * oh * ow));
   // Winner indices cached for the backward scatter (no re-scan of windows).
   auto argmax = std::make_shared<std::vector<std::int64_t>>(out.size());
   {
@@ -829,7 +847,7 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           1.0 / std::sqrt(running_var[static_cast<std::size_t>(ci)] + eps));
     }
   }
-  std::vector<float> out(xd.size());
+  std::vector<float> out = empty_buffer(xd.size());
   {
     const float* gd = gamma.data().data();
     const float* bd = beta.data().data();

@@ -2,7 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "backend/kernels.h"
+#include "backend/parallel.h"
+#include "obs/metrics.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ADEPT_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ADEPT_ASAN 1
+#endif
+#endif
+#ifdef ADEPT_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace adept::ag {
 
@@ -12,11 +28,162 @@ namespace {
 // nor accidentally disables tracking on another thread mid-training.
 thread_local bool g_grad_enabled = true;
 std::atomic<std::size_t> g_op_nodes{0};
+
+// ---- tape storage ---------------------------------------------------------
+// Cached buffers are poisoned under ASan, so a stale view into one still
+// fails loudly.
+void poison(std::vector<float>& v) {
+#ifdef ADEPT_ASAN
+  ASAN_POISON_MEMORY_REGION(v.data(), v.size() * sizeof(float));
+#else
+  (void)v;
+#endif
+}
+
+void unpoison(std::vector<float>& v) {
+#ifdef ADEPT_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(v.data(), v.size() * sizeof(float));
+#else
+  (void)v;
+#endif
+}
+
+std::atomic<std::size_t> g_cached_bytes{0};
+
+// Resolved on first use, on slow paths only (a miss or a zero fill).
+struct StorageCounters {
+  obs::Counter& alloc_calls = obs::counter("ag.alloc_calls");
+  obs::Counter& alloc_bytes = obs::counter("ag.alloc_bytes");
+  obs::Counter& zero_fill_bytes = obs::counter("ag.zero_fill_bytes");
+};
+
+StorageCounters& storage_counters() {
+  static StorageCounters c;
+  return c;
+}
+
+// Large gradient buffers fan the fill out over the kernel pool.
+void zero_fill(std::vector<float>& v) {
+  if (v.size() >= kStorageFloor) {
+    storage_counters().zero_fill_bytes.inc(v.size() * sizeof(float));
+  }
+  float* p = v.data();
+  backend::parallel_for(static_cast<std::int64_t>(v.size()), backend::detail::kElemGrain,
+                        [=](std::int64_t lo, std::int64_t hi) {
+                          std::fill(p + lo, p + hi, 0.0f);
+                        });
+}
+
+// One thread's buffers of one exact size.
+struct SizeClass {
+  std::vector<std::vector<float>> free;  // poisoned under ASan
+  std::size_t in_use = 0;  // taken on this thread, not yet given back here
+  std::size_t peak = 0;    // most ever in use at once: bounds free + in_use
+};
+
+struct FreeLists;
+
+// The calling thread's lists. Both are trivially destructible, so a
+// TensorImpl destroyed by a later thread_local destructor still reads them
+// safely: `t_lists` is nullptr once the lists are gone.
+thread_local FreeLists* t_lists = nullptr;
+thread_local bool t_lists_released = false;
+
+struct FreeLists {
+  std::unordered_map<std::size_t, SizeClass> classes;
+
+  FreeLists() { t_lists = this; }
+  FreeLists(const FreeLists&) = delete;
+  FreeLists& operator=(const FreeLists&) = delete;
+  ~FreeLists() {
+    t_lists = nullptr;
+    t_lists_released = true;
+    for (auto& [n, sc] : classes) {
+      for (auto& v : sc.free) unpoison(v);
+      g_cached_bytes.fetch_sub(sc.free.size() * n * sizeof(float),
+                               std::memory_order_relaxed);
+    }
+  }
+};
+
+// Creates the calling thread's lists on first use; nullptr after its exit
+// released them.
+FreeLists* own_lists() {
+  if (t_lists == nullptr && !t_lists_released) {
+    static thread_local FreeLists lists;
+  }
+  return t_lists;
+}
+
+std::vector<float> take_buffer(std::size_t n, bool zeroed) {
+  if (n >= kStorageFloor) {
+    if (FreeLists* lists = own_lists()) {
+      SizeClass& sc = lists->classes[n];
+      sc.peak = std::max(sc.peak, ++sc.in_use);
+      if (!sc.free.empty()) {
+        std::vector<float> v = std::move(sc.free.back());
+        sc.free.pop_back();
+        g_cached_bytes.fetch_sub(n * sizeof(float), std::memory_order_relaxed);
+        unpoison(v);
+        if (zeroed) zero_fill(v);
+        return v;
+      }
+    }
+    StorageCounters& c = storage_counters();
+    c.alloc_calls.inc();
+    c.alloc_bytes.inc(n * sizeof(float));
+    c.zero_fill_bytes.inc(n * sizeof(float));  // std::vector value-initializes
+  }
+  return std::vector<float>(n);
+}
+
+// Moves `v` into the calling thread's list for its size when the thread has
+// taken that size before and the list is below its bound; otherwise leaves
+// it for its destructor to free.
+void recycle(std::vector<float>& v) {
+  const std::size_t n = v.size();
+  if (n < kStorageFloor || t_lists == nullptr) return;
+  const auto it = t_lists->classes.find(n);
+  if (it == t_lists->classes.end()) return;
+  SizeClass& sc = it->second;
+  if (sc.in_use > 0) --sc.in_use;
+  if (sc.free.size() + sc.in_use >= sc.peak) return;
+  sc.free.push_back(std::move(v));
+  poison(sc.free.back());
+  g_cached_bytes.fetch_add(n * sizeof(float), std::memory_order_relaxed);
+}
+
 }  // namespace
+
+std::vector<float> empty_buffer(std::size_t n) { return take_buffer(n, false); }
+std::vector<float> zeros_buffer(std::size_t n) { return take_buffer(n, true); }
+
+TensorImpl::~TensorImpl() {
+  recycle(data);
+  recycle(grad);
+}
 
 namespace debug {
 std::size_t op_nodes_created() {
   return g_op_nodes.load(std::memory_order_relaxed);
+}
+
+std::size_t cached_bytes() {
+  return g_cached_bytes.load(std::memory_order_relaxed);
+}
+
+std::size_t fill_free_lists(float value) {
+  std::size_t count = 0;
+  if (t_lists == nullptr) return count;
+  for (auto& [n, sc] : t_lists->classes) {
+    for (auto& v : sc.free) {
+      unpoison(v);
+      std::fill(v.begin(), v.end(), value);
+      poison(v);
+      ++count;
+    }
+  }
+  return count;
 }
 }  // namespace debug
 
@@ -35,15 +202,16 @@ void check(bool cond, const std::string& msg) {
 Tensor Tensor::zeros(std::vector<std::int64_t> shape, bool requires_grad) {
   std::int64_t n = 1;
   for (auto d : shape) n *= d;
-  return make_tensor(std::vector<float>(static_cast<std::size_t>(n), 0.0f),
-                     std::move(shape), requires_grad);
+  return make_tensor(zeros_buffer(static_cast<std::size_t>(n)), std::move(shape),
+                     requires_grad);
 }
 
 Tensor Tensor::full(std::vector<std::int64_t> shape, float value, bool requires_grad) {
   std::int64_t n = 1;
   for (auto d : shape) n *= d;
-  return make_tensor(std::vector<float>(static_cast<std::size_t>(n), value),
-                     std::move(shape), requires_grad);
+  std::vector<float> data = empty_buffer(static_cast<std::size_t>(n));
+  std::fill(data.begin(), data.end(), value);
+  return make_tensor(std::move(data), std::move(shape), requires_grad);
 }
 
 Tensor Tensor::from_data(std::vector<std::int64_t> shape, std::vector<float> data,
@@ -59,7 +227,7 @@ Tensor Tensor::scalar(float value, bool requires_grad) {
 }
 
 Tensor Tensor::eye(std::int64_t n, bool requires_grad) {
-  std::vector<float> d(static_cast<std::size_t>(n * n), 0.0f);
+  std::vector<float> d = zeros_buffer(static_cast<std::size_t>(n * n));
   for (std::int64_t i = 0; i < n; ++i) d[static_cast<std::size_t>(i * n + i)] = 1.0f;
   return make_tensor(std::move(d), {n, n}, requires_grad);
 }
@@ -80,7 +248,7 @@ std::vector<float>& Tensor::grad() {
 }
 bool Tensor::has_grad() const { return impl_ && !impl_->grad.empty(); }
 void Tensor::zero_grad() {
-  if (impl_) std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
+  if (impl_) zero_fill(impl_->grad);
 }
 
 float Tensor::item() const {
@@ -143,7 +311,7 @@ void Tensor::backward(const std::vector<float>* seed_grad) const {
   // cleared — they accumulate until the caller zeroes them.
   for (TensorImpl* node : order) {
     if (node->backward_fn && !node->grad.empty() && node != impl_.get()) {
-      node->grad.assign(node->grad.size(), 0.0f);
+      zero_fill(node->grad);
     }
   }
   // Post-order puts the root last; walk in reverse (root first).

@@ -11,11 +11,16 @@
 //   * Operators (see ops.h) build the graph eagerly. Tensor::backward() runs
 //     a topological sort from the root and invokes each backward closure once.
 //   * GradMode/NoGradGuard disable graph construction during evaluation.
+//   * Buffers outlive the step: every step of a training or search loop
+//     builds the same graph with the same shapes, so a dying TensorImpl
+//     hands its large buffers back to a per-thread free list and the ops
+//     take their outputs from it (empty_buffer / zeros_buffer below).
 //
 // Gradients accumulate (+=) so shared subexpressions are handled naturally;
 // call zero_grad() (or Optimizer::zero_grad) between steps.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,6 +39,24 @@ struct GradMode {
   static bool enabled();
   static void set_enabled(bool on);
 };
+
+// ---- tape storage ---------------------------------------------------------
+// A dying TensorImpl hands its data and grad buffers of at least
+// kStorageFloor floats to its thread's free list, keyed by exact element
+// count. A list never holds more buffers than its thread once had of that
+// size in use at once. A buffer freed on a thread that never took its size,
+// or after that thread's lists were released at its exit, goes back to
+// malloc, as does every buffer below the floor. Pool misses and zero fills
+// of pooled sizes are counted (ag.alloc_calls, ag.alloc_bytes,
+// ag.zero_fill_bytes); a hit that needs no zeros touches no counter.
+// The floor was chosen by measurement (docs/architecture.md).
+inline constexpr std::size_t kStorageFloor = 4096;
+
+// `n` floats of unspecified value: a recycled buffer keeps what it last held.
+// For outputs the caller overwrites in full.
+std::vector<float> empty_buffer(std::size_t n);
+// `n` zeros: for buffers the caller accumulates into.
+std::vector<float> zeros_buffer(std::size_t n);
 
 // RAII guard that disables gradient tracking in its scope.
 class NoGradGuard {
@@ -102,6 +125,8 @@ class Tensor {
 
 // The node payload. Public because ops.h / custom ops construct these.
 struct TensorImpl {
+  ~TensorImpl();  // recycles data and grad (see empty_buffer)
+
   std::vector<float> data;
   std::vector<float> grad;           // empty until touched
   std::vector<std::int64_t> shape;
@@ -116,7 +141,7 @@ struct TensorImpl {
     return n;
   }
   void ensure_grad() {
-    if (grad.empty()) grad.assign(data.size(), 0.0f);
+    if (grad.empty()) grad = zeros_buffer(data.size());
   }
 };
 
@@ -140,6 +165,12 @@ namespace debug {
 // Tests diff it across a call to assert how many tape nodes an operator
 // creates (e.g. bcmatmul: 1 compute node + 2 plane views).
 std::size_t op_nodes_created();
+// Bytes held by the free lists of every thread right now.
+std::size_t cached_bytes();
+// Overwrites every buffer in the calling thread's free lists with `value`
+// and returns how many there are. Tests fill them with NaN to show that no
+// op reads a recycled buffer before writing it.
+std::size_t fill_free_lists(float value);
 }  // namespace debug
 
 }  // namespace adept::ag

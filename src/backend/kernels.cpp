@@ -640,12 +640,14 @@ void im2col_impl(const T* x, std::int64_t n, std::int64_t c, std::int64_t h,
   const std::int64_t x_bytes =
       n * c * h * w * static_cast<std::int64_t>(sizeof(T));
   // One output row per patch; rows are independent, so parallelize there.
-  // Zero whole chunks up front (one large fill beats a per-row fill by ~3x),
-  // then gather only the in-image taps.
+  // With padding, zero whole chunks up front (one large fill beats a per-row
+  // fill by ~3x), then gather only the in-image taps. Without padding no tap
+  // can be clipped, so the gather writes every element and the fill goes.
+  const bool clipped = pad > 0;
   const std::int64_t cost = cols * kElemCost;
-  parallel_for(rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(cols, 1)), cost, 
+  parallel_for(rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(cols, 1)), cost,
                [=](std::int64_t r0, std::int64_t r1) {
-                 std::fill(out + r0 * cols, out + r1 * cols, T{0});
+                 if (clipped) std::fill(out + r0 * cols, out + r1 * cols, T{0});
                  for (std::int64_t row = r0; row < r1; ++row) {
                    T* orow = out + row * cols;
                    const std::int64_t xo = row % ow;

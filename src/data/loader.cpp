@@ -1,5 +1,6 @@
 #include "data/loader.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace adept::data {
@@ -28,14 +29,13 @@ Batch DataLoader::batch(int index) const {
 
 Batch DataLoader::gather(const std::vector<int>& indices) const {
   const auto& spec = dataset_.spec();
-  const int elems = dataset_.image_elems();
-  std::vector<float> data;
-  data.reserve(indices.size() * static_cast<std::size_t>(elems));
+  const auto elems = static_cast<std::size_t>(dataset_.image_elems());
+  std::vector<float> data = ag::empty_buffer(indices.size() * elems);
   Batch out;
-  for (int idx : indices) {
-    const auto& img = dataset_.image(idx);
-    data.insert(data.end(), img.begin(), img.end());
-    out.labels.push_back(dataset_.label(idx));
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto& img = dataset_.image(indices[i]);
+    std::copy(img.begin(), img.end(), data.begin() + static_cast<std::ptrdiff_t>(i * elems));
+    out.labels.push_back(dataset_.label(indices[i]));
   }
   out.images = ag::make_tensor(
       std::move(data),
@@ -48,8 +48,9 @@ Batch slice_batch(const Batch& batch, std::int64_t lo, std::int64_t hi) {
   const std::int64_t n = batch.images.dim(0);
   const std::int64_t elems = n == 0 ? 0 : batch.images.numel() / n;
   const auto& src = batch.images.data();
-  std::vector<float> data(src.begin() + static_cast<std::ptrdiff_t>(lo * elems),
-                          src.begin() + static_cast<std::ptrdiff_t>(hi * elems));
+  std::vector<float> data = ag::empty_buffer(static_cast<std::size_t>((hi - lo) * elems));
+  std::copy(src.begin() + static_cast<std::ptrdiff_t>(lo * elems),
+            src.begin() + static_cast<std::ptrdiff_t>(hi * elems), data.begin());
   Batch out;
   out.images = ag::make_tensor(
       std::move(data),

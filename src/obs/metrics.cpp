@@ -8,6 +8,8 @@
 #include <map>
 #include <mutex>
 
+#include <sys/resource.h>
+
 #include "common/env.h"
 
 namespace adept::obs {
@@ -202,6 +204,14 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 MetricsSnapshot snapshot() {
+  // Process gauges, read at snapshot time so ADEPT_METRICS_FILE shows memory
+  // churn without an outside wrapper.
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    gauge("proc.minor_faults").set(static_cast<double>(ru.ru_minflt));
+    gauge("proc.major_faults").set(static_cast<double>(ru.ru_majflt));
+    gauge("proc.max_rss_kb").set(static_cast<double>(ru.ru_maxrss));
+  }
   MetricsSnapshot s;
   Registry& r = registry();
   std::lock_guard lock(r.mu);

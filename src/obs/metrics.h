@@ -116,7 +116,9 @@ struct HistogramSnap {
 };
 
 // Point-in-time copy of every instrument, sorted by name (the stable order
-// both renderings rely on).
+// both renderings rely on). snapshot() first refreshes the process gauges
+// from getrusage(RUSAGE_SELF): proc.minor_faults, proc.major_faults and
+// proc.max_rss_kb.
 struct MetricsSnapshot {
   std::vector<CounterSnap> counters;
   std::vector<GaugeSnap> gauges;

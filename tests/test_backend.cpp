@@ -11,6 +11,7 @@
 #include <complex>
 #include <cstdint>
 #include <new>
+#include <ostream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -424,51 +425,63 @@ TEST(Determinism, ElementwiseAndReduceBitExact) {
 
 TEST(Im2col, MatchesNaiveAndIsAdjointOfCol2im) {
   Rng rng(15);
-  const std::int64_t n = 2, c = 3, h = 7, w = 6, kh = 3, kw = 2, stride = 2,
-                     pad = 1;
-  const std::int64_t oh = (h + 2 * pad - kh) / stride + 1;
-  const std::int64_t ow = (w + 2 * pad - kw) / stride + 1;
-  const std::int64_t cols = c * kh * kw, rows = n * oh * ow;
-  const auto x = random_vec<float>(static_cast<std::size_t>(n * c * h * w), rng);
+  struct Geometry {
+    std::int64_t kh, kw, stride, pad;
+  };
+  // pad 0 takes the path without the up-front zero fill (no tap can be
+  // clipped); pad 1 and 2 clip taps at every border. The 5x5 kernel takes
+  // the fixed-size copy of unclipped rows.
+  for (const Geometry g : {Geometry{3, 2, 2, 1}, Geometry{3, 2, 2, 0},
+                           Geometry{3, 2, 2, 2}, Geometry{5, 5, 1, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "k " << g.kh << "x" << g.kw << " stride "
+                                      << g.stride << " pad " << g.pad);
+    const std::int64_t n = 2, c = 3, h = 7, w = 6, kh = g.kh, kw = g.kw,
+                       stride = g.stride, pad = g.pad;
+    const std::int64_t oh = (h + 2 * pad - kh) / stride + 1;
+    const std::int64_t ow = (w + 2 * pad - kw) / stride + 1;
+    const std::int64_t cols = c * kh * kw, rows = n * oh * ow;
+    const auto x = random_vec<float>(static_cast<std::size_t>(n * c * h * w), rng);
 
-  // Naive gather.
-  std::vector<float> expect(static_cast<std::size_t>(rows * cols), 0.0f);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t yo = 0; yo < oh; ++yo)
-      for (std::int64_t xo = 0; xo < ow; ++xo)
-        for (std::int64_t ci = 0; ci < c; ++ci)
-          for (std::int64_t ky = 0; ky < kh; ++ky)
-            for (std::int64_t kx = 0; kx < kw; ++kx) {
-              const std::int64_t yi = yo * stride - pad + ky;
-              const std::int64_t xi = xo * stride - pad + kx;
-              if (yi < 0 || yi >= h || xi < 0 || xi >= w) continue;
-              const std::int64_t row = (ni * oh + yo) * ow + xo;
-              expect[static_cast<std::size_t>(row * cols + (ci * kh + ky) * kw + kx)] =
-                  x[static_cast<std::size_t>(((ni * c + ci) * h + yi) * w + xi)];
-            }
+    // Naive gather.
+    std::vector<float> expect(static_cast<std::size_t>(rows * cols), 0.0f);
+    for (std::int64_t ni = 0; ni < n; ++ni)
+      for (std::int64_t yo = 0; yo < oh; ++yo)
+        for (std::int64_t xo = 0; xo < ow; ++xo)
+          for (std::int64_t ci = 0; ci < c; ++ci)
+            for (std::int64_t ky = 0; ky < kh; ++ky)
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t yi = yo * stride - pad + ky;
+                const std::int64_t xi = xo * stride - pad + kx;
+                if (yi < 0 || yi >= h || xi < 0 || xi >= w) continue;
+                const std::int64_t row = (ni * oh + yo) * ow + xo;
+                expect[static_cast<std::size_t>(row * cols + (ci * kh + ky) * kw + kx)] =
+                    x[static_cast<std::size_t>(((ni * c + ci) * h + yi) * w + xi)];
+              }
 
-  std::vector<float> got(expect.size(), -1.0f);
-  be::im2col(x.data(), n, c, h, w, kh, kw, stride, pad, got.data());
-  for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expect[i]);
+    // A stale NaN anywhere the kernel does not write shows up as a mismatch.
+    std::vector<float> got(expect.size(), std::nanf(""));
+    be::im2col(x.data(), n, c, h, w, kh, kw, stride, pad, got.data());
+    for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expect[i]) << i;
 
-  // Adjoint identity: <im2col(x), y> == <x, col2im(y)>.
-  const auto y = random_vec<float>(got.size(), rng);
-  std::vector<float> xback(x.size(), 0.0f);
-  be::col2im(y.data(), n, c, h, w, kh, kw, stride, pad, xback.data());
-  double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    lhs += static_cast<double>(got[i]) * y[i];
-  for (std::size_t i = 0; i < x.size(); ++i)
-    rhs += static_cast<double>(x[i]) * xback[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
+    // Adjoint identity: <im2col(x), y> == <x, col2im(y)>.
+    const auto y = random_vec<float>(got.size(), rng);
+    std::vector<float> xback(x.size(), 0.0f);
+    be::col2im(y.data(), n, c, h, w, kh, kw, stride, pad, xback.data());
+    double lhs = 0.0, rhs = 0.0;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      lhs += static_cast<double>(got[i]) * y[i];
+    for (std::size_t i = 0; i < x.size(); ++i)
+      rhs += static_cast<double>(x[i]) * xback[i];
+    EXPECT_NEAR(lhs, rhs, 1e-3);
 
-  // Thread-count determinism for the scatter side.
-  std::vector<float> xback4(x.size(), 0.0f);
-  {
-    be::ThreadScope four(4);
-    be::col2im(y.data(), n, c, h, w, kh, kw, stride, pad, xback4.data());
+    // Thread-count determinism for the scatter side.
+    std::vector<float> xback4(x.size(), 0.0f);
+    {
+      be::ThreadScope four(4);
+      be::col2im(y.data(), n, c, h, w, kh, kw, stride, pad, xback4.data());
+    }
+    for (std::size_t i = 0; i < xback.size(); ++i) ASSERT_EQ(xback[i], xback4[i]);
   }
-  for (std::size_t i = 0; i < xback.size(); ++i) ASSERT_EQ(xback[i], xback4[i]);
 }
 
 // ---- fused complex gemm ---------------------------------------------------
@@ -523,6 +536,16 @@ struct CgemmCase {
   std::int64_t m, n, k;
   float beta;
 };
+
+// Names the case in the test name. Without it gtest prints the raw object
+// bytes, tail padding included, so the names changed from build to build.
+void PrintTo(const CgemmCase& c, std::ostream* os) {
+  const auto op = [](be::CTrans t) {
+    return t == be::CTrans::N ? "N" : t == be::CTrans::T ? "T" : "H";
+  };
+  *os << op(c.ta) << op(c.tb) << "_m" << c.m << "_n" << c.n << "_k" << c.k
+      << "_beta" << c.beta;
+}
 
 class CgemmVariants : public ::testing::TestWithParam<CgemmCase> {};
 

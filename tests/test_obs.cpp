@@ -8,12 +8,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -160,6 +164,32 @@ TEST(ObsMetrics, SnapshotFindsAndRenders) {
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"test.obs.snap_gauge\": 0.5"), std::string::npos);
+}
+
+TEST(ObsMetrics, ProcessGaugesSeeFreshPageFaults) {
+  const auto minor_faults = [] {
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    const auto* g = snap.find_gauge("proc.minor_faults");
+    EXPECT_NE(g, nullptr);
+    EXPECT_NE(snap.find_gauge("proc.major_faults"), nullptr);
+    const auto* rss = snap.find_gauge("proc.max_rss_kb");
+    EXPECT_NE(rss, nullptr);
+    if (rss != nullptr) EXPECT_GT(rss->value, 0.0);
+    return g != nullptr ? g->value : 0.0;
+  };
+  // Fresh anonymous pages, kept at base page size, fault once each when
+  // first written.
+  constexpr std::size_t kBytes = 4u << 20;
+  const double before = minor_faults();
+  void* p = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                 -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  madvise(p, kBytes, MADV_NOHUGEPAGE);
+  std::memset(p, 1, kBytes);
+  const double after = minor_faults();
+  munmap(p, kBytes);
+  const auto pages = kBytes / static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_GE(after - before, static_cast<double>(pages) / 2);
 }
 
 TEST(ObsMetrics, DumpMetricsWritesValidJsonShape) {

@@ -9,10 +9,11 @@ telemetry smoke step uses both:
 
     trace_summary.py trace.json --metrics metrics.json \
         --require serve.request --require plan. --require comm.allreduce \
-        --require train.step
+        --require train.step --require-metric ag.alloc_calls
 
 Exit codes: 0 ok, 1 malformed input, 2 a --require substring matched no
-span name.
+span name or a --require-metric name is not an instrument of the metrics
+JSON.
 """
 
 import argparse
@@ -88,6 +89,7 @@ def summarize(events):
 
 
 def check_metrics(path):
+    """Validate a metrics JSON dump; returns its instrument names."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -104,6 +106,7 @@ def check_metrics(path):
     print(f"metrics ok: {len(doc['counters'])} counters, "
           f"{len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms "
           f"({n} instruments)")
+    return {name for k in ("counters", "gauges", "histograms") for name in doc[k]}
 
 
 def main():
@@ -114,7 +117,13 @@ def main():
     ap.add_argument("--require", action="append", default=[],
                     help="fail (exit 2) unless some span name contains this "
                          "substring; repeatable")
+    ap.add_argument("--require-metric", action="append", default=[],
+                    metavar="NAME",
+                    help="fail (exit 2) unless the --metrics JSON has an "
+                         "instrument of exactly this name; repeatable")
     args = ap.parse_args()
+    if args.require_metric and not args.metrics:
+        ap.error("--require-metric needs --metrics")
 
     events = load_trace(args.trace)
     total, self_time, count = summarize(events)
@@ -124,8 +133,10 @@ def main():
 
     missing = [req for req in args.require
                if not any(req in name for name in total)]
+    missing_metrics = []
     if args.metrics:
-        check_metrics(args.metrics)
+        names = check_metrics(args.metrics)
+        missing_metrics = [m for m in args.require_metric if m not in names]
 
     for title, ranking in (("total", total), ("self", self_time)):
         print(f"\ntop {min(args.n, len(ranking))} spans by {title} time:")
@@ -134,10 +145,11 @@ def main():
         for name, us in rows:
             print(f"  {name:<{width}}  {us / 1e3:10.3f} ms  x{count[name]}")
 
-    if missing:
-        for req in missing:
-            print(f"trace_summary: no span name contains '{req}'",
-                  file=sys.stderr)
+    for req in missing:
+        print(f"trace_summary: no span name contains '{req}'", file=sys.stderr)
+    for name in missing_metrics:
+        print(f"trace_summary: no metric named '{name}'", file=sys.stderr)
+    if missing or missing_metrics:
         sys.exit(2)
 
 
