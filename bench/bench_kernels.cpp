@@ -291,6 +291,40 @@ adept::bench::JsonRecord gemm_bt_record(std::int64_t n) {
   return make_record("gemm_f32_bt", static_cast<double>(n), flops, t_naive, t);
 }
 
+// A conv weight gradient of the proxy CNN, colsᵀ · dO: m = C*kh*kw rows,
+// n = out channels, k = batch rows times output pixels. The baseline is
+// gemm(T, N), whose rows cannot fan out at these shapes; the backend is
+// gemm_tn_split. Both are timed pinned to one thread and at the configured
+// budget, so `speedup_serial` is what the split costs where it cannot fan
+// out and `speedup` what it gains where it can.
+adept::bench::JsonRecord gemm_tn_split_record(std::int64_t m, std::int64_t n,
+                                              std::int64_t k) {
+  adept::Rng rng(6);
+  std::vector<float> a(static_cast<std::size_t>(k * m));
+  std::vector<float> g(static_cast<std::size_t>(k * n));
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
+  for (auto& v : g) v = static_cast<float>(rng.uniform(-1, 1));
+  const double flops = 2.0 * static_cast<double>(m) * n * k;
+  const auto t_gemm = time_backend([&] {
+    be::gemm(be::Trans::T, be::Trans::N, m, n, k, 1.0f, a.data(), m, g.data(),
+             n, 0.0f, c.data(), n);
+  });
+  const auto t_split = time_backend([&] {
+    be::gemm_tn_split(m, n, k, a.data(), m, g.data(), n, 0.0f, c.data(), n);
+  });
+  return {"gemm_tn_split",
+          {{"size", static_cast<double>(k)},
+           {"m", static_cast<double>(m)},
+           {"n", static_cast<double>(n)},
+           {"baseline_gflops", flops / t_gemm.serial_s * 1e-9},
+           {"baseline_threaded_gflops", flops / t_gemm.threaded_s * 1e-9},
+           {"backend_serial_gflops", flops / t_split.serial_s * 1e-9},
+           {"backend_gflops", flops / t_split.threaded_s * 1e-9},
+           {"speedup_serial", t_gemm.serial_s / t_split.serial_s},
+           {"speedup", t_gemm.threaded_s / t_split.threaded_s}}};
+}
+
 // The seed's cmatmul lowering: four naive real matmuls + two elementwise
 // combines into freshly allocated planes.
 void naive_cmatmul(const float* ar, const float* ai, const float* br,
@@ -537,6 +571,8 @@ int run_json_report(const std::string& path) {
   adept::bench::JsonReport report("kernels");
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_record(n));
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_bt_record(n));
+  report.add(gemm_tn_split_record(25, 4, 24 * 24 * 24));   // conv1 dW
+  report.add(gemm_tn_split_record(100, 4, 24 * 20 * 20));  // conv2 dW
   for (std::int64_t n : {16, 32, 64}) report.add(cgemm_record(n));
   report.add(cgemm_batched_record());
   report.add(map_record(1u << 20));

@@ -257,11 +257,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                b.data().data(), m, beta, ga, k);
     }
     if (b.requires_grad()) {
-      // dB += A^T @ dO : [k,n] x [n,m]
+      // dB += A^T @ dO : [k,n] x [n,m], the weight gradient: its reduction
+      // runs over the n batch rows, which the kernel splits when long.
       float beta = 1.0f;
       float* gb = gemm_grad(b, beta);
-      be::gemm(be::Trans::T, be::Trans::N, k, m, n, 1.0f, a.data().data(), k,
-               o.grad.data(), m, beta, gb, m);
+      be::gemm_tn_split(k, m, n, a.data().data(), k, o.grad.data(), m, beta,
+                        gb, m);
     }
   });
 }

@@ -19,6 +19,27 @@ namespace {
 // transposed so the innermost axpy always streams unit-stride memory.
 constexpr std::int64_t kRowBlock = 48;
 constexpr std::int64_t kKBlock = 256;
+// Column tile of the SIMD gemm driver (microkernels.inc), whose row launch
+// costs each row 2 * kc * padded_cols(n).
+constexpr std::int64_t kTileCols = 16;
+
+std::int64_t padded_cols(std::int64_t n) {
+  return (n + kTileCols - 1) / kTileCols * kTileCols;
+}
+
+// gemm_tn_split's chunking, measured on a 4-vCPU AVX-512 host (GCC 12,
+// Release; medians of 60 calls, the host's speed drifts up to 2x):
+//   - at 4 threads, 4 chunks of 256 rows beat gemm at 25 x 32 x 1024 (51 ->
+//     27 us) and 48 x 64 x 1024 (136 -> 80 us), and 8 chunks of 128 rows
+//     are slower than those 4 (31 and 89 us). At 1 thread, chunks under 256
+//     rows cost up to 1.7x gemm (48 x 64 x 512: 62 -> 104 us), so each chunk
+//     keeps at least one full 256-deep k-panel of the gemm driver;
+//   - the proxy CNN's dW (25 x 4 x 13824, 100 x 4 x 9600) takes 600 / 1200
+//     us in gemm at any thread count, 260 / 470-550 us in 4 or 8 chunks at
+//     4 threads; 16 chunks gain at most 15% more there and double the
+//     partials, so 8 chunks (one per core on an 8-core host) is the cap.
+constexpr std::int64_t kSplitMinRows = 256;
+constexpr int kSplitMaxChunks = 8;
 
 // Beta epilogue shared by every gemm variant: beta == 0 zero-fills the row,
 // beta == 1 leaves it untouched, anything else scales in place.
@@ -241,6 +262,78 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
   gemm_impl<float, false>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+namespace detail {
+
+int gemm_tn_split_chunks(std::int64_t m, std::int64_t n, std::int64_t k) {
+  if (m <= 0 || n <= 0) return 1;
+  // gemm fans its rows out on its own.
+  if (size_threads(m, kRowBlock, 2 * std::min(kKBlock, k) * padded_cols(n)) >
+      1) {
+    return 1;
+  }
+  int chunks = 1;
+  while (chunks < kSplitMaxChunks && k / (2 * chunks) >= kSplitMinRows) {
+    chunks *= 2;
+  }
+  // The chunks pay only if their own launch can fan out.
+  if (chunks > 1 &&
+      size_threads(chunks, 1, 2 * (k / chunks) * padded_cols(n) * m) < 2) {
+    return 1;
+  }
+  return chunks;
+}
+
+}  // namespace detail
+
+void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, std::int64_t lda, const float* g,
+                   std::int64_t ldg, float beta, float* c, std::int64_t ldc) {
+  const int chunks = detail::gemm_tn_split_chunks(m, n, k);
+  if (chunks < 2) {
+    gemm(Trans::T, Trans::N, m, n, k, 1.0f, a, lda, g, ldg, beta, c, ldc);
+    return;
+  }
+  const std::int64_t mn = m * n;
+  ScratchArena::Scope scratch;
+  float* part = scratch.alloc<float>(chunks * mn);
+  parallel_for(chunks, 1, 2 * (k / chunks) * padded_cols(n) * m,
+               [=](std::int64_t c0, std::int64_t c1) {
+                 for (std::int64_t ch = c0; ch < c1; ++ch) {
+                   const std::int64_t lo = k * ch / chunks;
+                   const std::int64_t hi = k * (ch + 1) / chunks;
+                   gemm(Trans::T, Trans::N, m, n, hi - lo, 1.0f, a + lo * lda,
+                        lda, g + lo * ldg, ldg, 0.0f, part + ch * mn, n);
+                 }
+               });
+  // ShardedGradReducer's tree over ascending chunks: ((p0 + p1) + (p2 + p3))
+  // + ((p4 + p5) + (p6 + p7)), element by element, then the beta epilogue.
+  parallel_for(m, kRowBlock, chunks * n * kElemCost,
+               [=](std::int64_t i0, std::int64_t i1) {
+                 for (int stride = 1; stride < chunks; stride *= 2) {
+                   for (int r = 0; r + stride < chunks; r += 2 * stride) {
+                     float* left = part + r * mn;
+                     const float* right = part + (r + stride) * mn;
+                     for (std::int64_t e = i0 * n; e < i1 * n; ++e) {
+                       left[e] += right[e];
+                     }
+                   }
+                 }
+                 for (std::int64_t i = i0; i < i1; ++i) {
+                   const float* sum = part + i * n;
+                   float* crow = c + i * ldc;
+                   if (beta == 0.0f) {
+                     std::copy(sum, sum + n, crow);
+                   } else if (beta == 1.0f) {
+                     for (std::int64_t j = 0; j < n; ++j) crow[j] += sum[j];
+                   } else {
+                     for (std::int64_t j = 0; j < n; ++j) {
+                       crow[j] = beta * crow[j] + sum[j];
+                     }
+                   }
+                 }
+               });
 }
 
 PackedGemmB pack_gemm_b(Trans tb, std::int64_t k, std::int64_t n,

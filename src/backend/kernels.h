@@ -6,7 +6,10 @@
 //
 // Every kernel partitions work over disjoint output ranges with chunk
 // boundaries that depend only on the problem size (see parallel.h), so
-// results are bit-exact across thread counts.
+// results are bit-exact across thread counts. The one kernel that splits a
+// reduction instead, gemm_tn_split (long-k weight gradients), does so with
+// size-only chunk boundaries and sums its partials in a fixed tree: a
+// second size-only reduction order, bit-exact across thread counts too.
 #pragma once
 
 #include <complex>
@@ -35,6 +38,25 @@ enum class CTrans { N, T, H };
 void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float beta, float* c, std::int64_t ldc);
+// Weight-gradient product over a long reduction: C = beta * C + A^T @ G,
+// with A stored [k, m] (row stride lda), G [k, n] (row stride ldg) and C
+// [m, n]. This is `ag::matmul`'s dB, i.e. every conv and linear weight
+// gradient, whose reduction runs over the batch (times the output pixels).
+// gemm splits only output rows, and a conv dW has few of them (C*kh*kw), so
+// where gemm's per-k-panel row launch cannot fan out, a long reduction is
+// split instead: into a power-of-two number of chunks (at most 8) of at
+// least a minimum number of rows, with boundaries k*c/chunks as in
+// comm::shard_range, provided the chunks carry the work to fan out. Each chunk's gemm(T, N) writes a partial product (a
+// nested launch runs inline), and the partials are summed in the fixed
+// pairwise tree of comm::ShardedGradReducer. Every other shape runs
+// gemm(T, N, m, n, k, 1, ...) unchanged. The decision and the chunking read
+// only (m, n, k) — never the thread budget, the SIMD level or the rank — so
+// this is the second, size-only reduction order next to gemm's: results are
+// identical at every thread and rank count. With beta == 0, C is never read.
+void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, std::int64_t lda, const float* g,
+                   std::int64_t ldg, float beta, float* c, std::int64_t ldc);
+
 // Double precision for the K x K circuit model and SPL's Procrustes step:
 // blocked loops that skip zero entries of op(A) (permutation factors are
 // mostly zeros), run at every SIMD level, so results are identical at every
@@ -197,6 +219,9 @@ double reduce_sum(const float* a, std::size_t n);
 
 namespace detail {
 constexpr std::int64_t kElemGrain = 1 << 14;  // elementwise chunk size
+
+// Reduction chunks gemm_tn_split uses at these sizes (1: it runs gemm).
+int gemm_tn_split_chunks(std::int64_t m, std::int64_t n, std::int64_t k);
 }
 
 // Fused elementwise kernels. The functor is applied per element; chunks of

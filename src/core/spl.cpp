@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 
 namespace adept::core {
 
@@ -10,6 +12,22 @@ using photonics::Permutation;
 using photonics::RMat;
 
 namespace {
+
+// A NaN score makes every comparison false: the Hungarian search then never
+// finds a column to augment along and spins forever. Refuse it up front,
+// naming the first offending entry in row-major order.
+void check_finite_scores(const RMat& m, const char* who) {
+  for (std::int64_t i = 0; i < m.rows(); ++i) {
+    for (std::int64_t j = 0; j < m.cols(); ++j) {
+      if (!std::isfinite(m.at(i, j))) {
+        std::ostringstream os;
+        os << who << ": non-finite score " << m.at(i, j) << " at (" << i
+           << ", " << j << ")";
+        throw std::invalid_argument(os.str());
+      }
+    }
+  }
+}
 
 RMat row_softmax(const RMat& m, double tau) {
   RMat out(m.rows(), m.cols());
@@ -46,6 +64,7 @@ bool try_argmax_rounding(const RMat& score, Permutation* out) {
 }  // namespace
 
 Permutation hungarian_assignment(const RMat& score) {
+  check_finite_scores(score, "hungarian_assignment");
   // Standard O(K^3) Hungarian on costs = -score (we maximize total score).
   const std::int64_t n = score.rows();
   const double inf = std::numeric_limits<double>::infinity();
@@ -103,6 +122,7 @@ Permutation hungarian_assignment(const RMat& score) {
 
 Permutation stochastic_permutation_legalization(const RMat& relaxed, adept::Rng& rng,
                                                 const SplConfig& config) {
+  check_finite_scores(relaxed, "stochastic_permutation_legalization");
   // Step 1: binarize by low-temperature row softmax.
   const RMat sharp = row_softmax(relaxed, config.tau);
   // Step 2: SVD (Procrustes) projection pushes away from saddle points.

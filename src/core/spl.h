@@ -25,7 +25,9 @@ struct SplConfig {
 };
 
 // Legalize one relaxed permutation matrix ([K,K], non-negative rows summing
-// to ~1). Always returns a legal permutation.
+// to ~1). Always returns a legal permutation. A NaN or +-Inf entry throws
+// std::invalid_argument naming the first one (message contains
+// "non-finite"), so a diverged search surfaces here instead of hanging.
 photonics::Permutation stochastic_permutation_legalization(
     const photonics::RMat& relaxed, adept::Rng& rng, const SplConfig& config = {});
 
@@ -35,6 +37,7 @@ photonics::Permutation stochastic_permutation_legalization(
 
 // Maximum-weight perfect matching on a dense score matrix (Hungarian
 // algorithm, O(K^3)). Exposed for tests and used as the SPL fallback.
+// Refuses non-finite scores the same way.
 photonics::Permutation hungarian_assignment(const photonics::RMat& score);
 
 }  // namespace adept::core

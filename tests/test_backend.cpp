@@ -1,7 +1,8 @@
 // Tests for the src/backend dense kernel layer: blocked gemm (all transpose
-// variants, non-square/odd shapes, alpha/beta), fused elementwise kernels,
-// im2col/col2im, the parallel_for runtime and its thread caps, thread-count
-// bit-exactness, and gradchecks of the autograd ops ported onto the backend.
+// variants, non-square/odd shapes, alpha/beta), the split long-reduction
+// weight-gradient gemm, fused elementwise kernels, im2col/col2im, the
+// parallel_for runtime and its thread caps, thread-count bit-exactness, and
+// gradchecks of the autograd ops ported onto the backend.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +11,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <new>
 #include <ostream>
 #include <stdexcept>
@@ -23,6 +26,10 @@
 #include "backend/parallel.h"
 #include "comm/communicator.h"
 #include "common/rng.h"
+#include "data/synthetic.h"
+#include "nn/models.h"
+#include "nn/train.h"
+#include "photonics/builders.h"
 #include "pool_fanouts.h"
 
 namespace {
@@ -180,6 +187,206 @@ TEST(Determinism, ThreadedMatchesSerialBitExactly) {
     for (std::size_t i = 0; i < c_serial.size(); ++i) {
       ASSERT_EQ(c_serial[i], c_threaded[i]) << "m " << m << " elem " << i;
     }
+  }
+}
+
+// ---- long-reduction weight gradients (gemm_tn_split) ----------------------
+//
+// Checked the way kernels are checked against a reference implementation:
+// the split against gemm on the same random inputs within a tolerance (the
+// summation order differs by design), then 1 vs 4 threads bit for bit.
+
+// The proxy CNN's dW shapes (m = C*kh*kw, n = out channels, k = batch rows
+// times output pixels) and awkward ones: k tails that leave uneven chunks,
+// m off the 6-row tile, n in {1, 4, 10, 17}, a reduction shorter than the
+// chunk count and k = 1 (both fall through to gemm), and the width-32
+// training conv whose gemm already fans out its rows.
+struct SplitCase {
+  std::int64_t m, n, k;
+  bool split;  // whether the size-only decision splits the reduction
+};
+
+const SplitCase kSplitCases[] = {
+    {25, 4, 13824, true},  {100, 4, 9600, true}, {25, 32, 12800, true},
+    {25, 4, 13825, true},  {13, 10, 9601, true}, {7, 17, 4099, true},
+    {25, 1, 9600, true},   {25, 4, 5, false},    {25, 4, 1, false},
+    {800, 32, 9600, false}, {25, 4, 24, false},  {100, 10, 32, false}};
+
+TEST(GemmSplit, MatchesGemmWithinTolerance) {
+  Rng rng(91);
+  for (const SplitCase& p : kSplitCases) {
+    EXPECT_EQ(be::detail::gemm_tn_split_chunks(p.m, p.n, p.k) > 1, p.split)
+        << p.m << "x" << p.n << "x" << p.k;
+    const auto a = random_vec<float>(static_cast<std::size_t>(p.k * p.m), rng);
+    const auto g = random_vec<float>(static_cast<std::size_t>(p.k * p.n), rng);
+    const auto c0 = random_vec<float>(static_cast<std::size_t>(p.m * p.n), rng);
+    for (const float beta : {0.0f, 1.0f}) {
+      auto ref = c0;
+      be::gemm(Trans::T, Trans::N, p.m, p.n, p.k, 1.0f, a.data(), p.m, g.data(),
+               p.n, beta, ref.data(), p.n);
+      // beta = 0 must never read C: the tape hands over recycled buffers.
+      auto got = beta == 0.0f ? std::vector<float>(c0.size(),
+                                                   std::numeric_limits<float>::quiet_NaN())
+                              : c0;
+      be::gemm_tn_split(p.m, p.n, p.k, a.data(), p.m, g.data(), p.n, beta,
+                        got.data(), p.n);
+      if (!p.split) {  // gemm itself
+        ASSERT_EQ(got, ref) << p.m << "x" << p.n << "x" << p.k;
+        continue;
+      }
+      for (std::int64_t i = 0; i < p.m; ++i) {
+        for (std::int64_t j = 0; j < p.n; ++j) {
+          // Both are float sums of the same k products in different orders:
+          // allow 1e-6 of the sum of their magnitudes (the largest
+          // difference measured at the proxy shapes is about 4e-8 of it).
+          double mag = 0.0;
+          for (std::int64_t r = 0; r < p.k; ++r) {
+            mag += std::fabs(static_cast<double>(a[static_cast<std::size_t>(r * p.m + i)]) *
+                             g[static_cast<std::size_t>(r * p.n + j)]);
+          }
+          const std::size_t e = static_cast<std::size_t>(i * p.n + j);
+          ASSERT_NEAR(got[e], ref[e], 1e-6 * mag + 1e-6)
+              << p.m << "x" << p.n << "x" << p.k << " beta " << beta << " ("
+              << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// The split's bits are specified, not only its tolerance: the chunks are
+// gemm(T, N) calls over rows [k*c/chunks, k*(c+1)/chunks), summed in
+// ShardedGradReducer's pairwise tree, then added to beta * C.
+TEST(GemmSplit, EqualsTreeOfChunkGemms) {
+  Rng rng(93);
+  for (const SplitCase& p : kSplitCases) {
+    if (!p.split) continue;
+    const int chunks = be::detail::gemm_tn_split_chunks(p.m, p.n, p.k);
+    ASSERT_GE(chunks, 2);
+    ASSERT_LE(chunks, 8);
+    ASSERT_EQ(chunks & (chunks - 1), 0) << "power of two";
+    const auto a = random_vec<float>(static_cast<std::size_t>(p.k * p.m), rng);
+    const auto g = random_vec<float>(static_cast<std::size_t>(p.k * p.n), rng);
+    const auto c0 = random_vec<float>(static_cast<std::size_t>(p.m * p.n), rng);
+    const std::size_t mn = static_cast<std::size_t>(p.m * p.n);
+    std::vector<std::vector<float>> part(static_cast<std::size_t>(chunks),
+                                         std::vector<float>(mn));
+    for (int c = 0; c < chunks; ++c) {
+      const std::int64_t lo = p.k * c / chunks, hi = p.k * (c + 1) / chunks;
+      be::gemm(Trans::T, Trans::N, p.m, p.n, hi - lo, 1.0f, a.data() + lo * p.m,
+               p.m, g.data() + lo * p.n, p.n, 0.0f,
+               part[static_cast<std::size_t>(c)].data(), p.n);
+    }
+    for (int stride = 1; stride < chunks; stride *= 2) {
+      for (int r = 0; r + stride < chunks; r += 2 * stride) {
+        for (std::size_t e = 0; e < mn; ++e) {
+          part[static_cast<std::size_t>(r)][e] +=
+              part[static_cast<std::size_t>(r + stride)][e];
+        }
+      }
+    }
+    std::vector<float> got(mn, std::numeric_limits<float>::quiet_NaN());
+    be::gemm_tn_split(p.m, p.n, p.k, a.data(), p.m, g.data(), p.n, 0.0f,
+                      got.data(), p.n);
+    ASSERT_EQ(got, part[0]) << p.m << "x" << p.n << "x" << p.k;
+    auto acc = c0;
+    be::gemm_tn_split(p.m, p.n, p.k, a.data(), p.m, g.data(), p.n, 1.0f,
+                      acc.data(), p.n);
+    for (std::size_t e = 0; e < mn; ++e) {
+      ASSERT_EQ(acc[e], c0[e] + part[0][e]) << p.m << "x" << p.n << "x" << p.k;
+    }
+  }
+}
+
+TEST(GemmSplit, ZeroInnerDimAppliesBeta) {
+  std::vector<float> c = {1.0f, 2.0f, 3.0f, 4.0f};
+  be::gemm_tn_split(2, 2, 0, nullptr, 2, nullptr, 2, 0.5f, c.data(), 2);
+  EXPECT_FLOAT_EQ(c[0], 0.5f);
+  EXPECT_FLOAT_EQ(c[3], 2.0f);
+  std::vector<float> z(4, std::numeric_limits<float>::quiet_NaN());
+  be::gemm_tn_split(2, 2, 0, nullptr, 2, nullptr, 2, 0.0f, z.data(), 2);
+  for (const float v : z) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(GemmSplit, OneAndFourThreadsBitExact) {
+  Rng rng(92);
+  for (const SplitCase& p : kSplitCases) {
+    const auto a = random_vec<float>(static_cast<std::size_t>(p.k * p.m), rng);
+    const auto g = random_vec<float>(static_cast<std::size_t>(p.k * p.n), rng);
+    const auto c0 = random_vec<float>(static_cast<std::size_t>(p.m * p.n), rng);
+    for (const float beta : {0.0f, 1.0f}) {
+      auto c1 = c0, c4 = c0;
+      {
+        be::ThreadScope one(1);
+        be::gemm_tn_split(p.m, p.n, p.k, a.data(), p.m, g.data(), p.n, beta,
+                          c1.data(), p.n);
+      }
+      {
+        be::ThreadScope four(4);
+        const std::uint64_t fanouts = pool_fanouts();
+        be::gemm_tn_split(p.m, p.n, p.k, a.data(), p.m, g.data(), p.n, beta,
+                          c4.data(), p.n);
+        if (p.split) {
+          EXPECT_GT(pool_fanouts(), fanouts) << p.m << "x" << p.n << "x" << p.k;
+        }
+      }
+      for (std::size_t e = 0; e < c1.size(); ++e) {
+        ASSERT_EQ(c1[e], c4[e]) << p.m << "x" << p.n << "x" << p.k << " beta "
+                                << beta << " elem " << e;
+      }
+    }
+  }
+}
+
+// End to end through the tape: the proxy CNN at width 4 and batch 24 on
+// 28x28 images has conv weight gradients of 25 x 4 over 13824 rows and
+// 100 x 4 over 9600, both split. Single-process (ranks = 0), as search_k16
+// trains it.
+TEST(GemmSplit, ProxyCnnTrainingBitExactAcrossThreadCounts) {
+  ASSERT_GT(be::detail::gemm_tn_split_chunks(25, 4, 24 * 24 * 24), 1);
+  ASSERT_GT(be::detail::gemm_tn_split_chunks(100, 4, 24 * 20 * 20), 1);
+  struct Run {
+    std::vector<double> losses, accuracies;
+    std::vector<std::vector<float>> grads;
+  };
+  auto train = [] {
+    const auto spec = adept::data::DatasetSpec::mnist_like();
+    adept::data::SyntheticDataset train_set(spec, 48, 1);
+    adept::data::SyntheticDataset test_set(spec, 24, 2);
+    auto topo = std::make_shared<adept::photonics::PtcTopology>(
+        adept::photonics::butterfly(8));
+    Rng rng(5);
+    auto model = adept::nn::make_proxy_cnn(
+        1, 28, 10, adept::nn::PtcBinding::fixed(topo), rng, /*width=*/4);
+    adept::nn::TrainConfig tc;
+    tc.epochs = 1;
+    tc.batch_size = 24;
+    tc.seed = 3;
+    const adept::nn::TrainStats stats =
+        adept::nn::train_classifier(model, train_set, test_set, tc);
+    Run run;
+    run.losses = stats.train_loss_per_epoch;
+    run.accuracies = stats.test_accuracy_per_epoch;
+    for (auto& p : model.parameters()) run.grads.push_back(p.grad());
+    return run;
+  };
+  Run serial, threaded;
+  {
+    be::ThreadScope one(1);
+    serial = train();
+  }
+  {
+    be::ThreadScope four(4);
+    const std::uint64_t fanouts = pool_fanouts();
+    threaded = train();
+    EXPECT_GT(pool_fanouts(), fanouts);
+  }
+  ASSERT_EQ(serial.losses, threaded.losses);
+  ASSERT_EQ(serial.accuracies, threaded.accuracies);
+  ASSERT_EQ(serial.grads.size(), threaded.grads.size());
+  for (std::size_t i = 0; i < serial.grads.size(); ++i) {
+    ASSERT_FALSE(serial.grads[i].empty()) << "param " << i;
+    ASSERT_EQ(serial.grads[i], threaded.grads[i]) << "param " << i;
   }
 }
 
@@ -677,6 +884,49 @@ TEST(GemmPacked, BitExactVsPlainGemmAllAlphasAndShapes) {
   }
 }
 
+// gemm reads untransposed alpha-1 A rows in place against a narrow op(B),
+// and packs A otherwise. Both must give the same bits, so gemm(N, tb) is
+// checked against gemm(T, tb) on a materialized A^T (which still packs), at
+// every tile-tail position and every dispatch level; n = 65 (5 tiles) packs
+// on both sides. Comparing gemm with gemm_packed would compare the
+// in-place rows with themselves.
+TEST(GemmPacked, DirectRowsMatchPackedRowsAtEveryLevel) {
+  Rng rng(79);
+  for (const be::SimdLevel level : be::available_simd_levels()) {
+    be::SimdScope simd(level);
+    for (const std::int64_t m : {1, 5, 6, 7, 13}) {
+      for (const std::int64_t n : {4, 8, 10, 16, 17, 32, 65}) {
+        for (const std::int64_t k : {1, 25, 256, 257}) {
+          const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+          std::vector<float> at(a.size());  // A^T, [k, m]
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+              at[static_cast<std::size_t>(kk * m + i)] =
+                  a[static_cast<std::size_t>(i * k + kk)];
+            }
+          }
+          const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+          const auto c0 = random_vec<float>(static_cast<std::size_t>(m * n), rng);
+          for (const Trans tb : {Trans::N, Trans::T}) {
+            const std::int64_t ldb = tb == Trans::N ? n : k;
+            for (const float beta : {0.0f, 1.0f}) {
+              auto direct = c0, packed = c0;
+              be::gemm(Trans::N, tb, m, n, k, 1.0f, a.data(), k, b.data(), ldb,
+                       beta, direct.data(), n);
+              be::gemm(Trans::T, tb, m, n, k, 1.0f, at.data(), m, b.data(), ldb,
+                       beta, packed.data(), n);
+              ASSERT_EQ(direct, packed)
+                  << be::simd_level_name(level) << " m=" << m << " n=" << n
+                  << " k=" << k << " beta=" << beta
+                  << " tb=" << (tb == Trans::N ? "N" : "T");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmPacked, FallsBackWhenDispatchLevelChanges) {
   // Panels packed at one SIMD level must not be consumed at another: the
   // wrapper falls back to the plain gemm using the raw operand.
@@ -727,6 +977,22 @@ TEST(BackendGradcheck, MatmulThreaded) {
       [](const std::vector<ag::Tensor>& in) {
         return ag::sum(ag::mul(ag::matmul(in[0], in[1]),
                                ag::matmul(in[0], in[1])));
+      },
+      {a, b});
+  EXPECT_TRUE(res.ok) << res.detail;
+}
+
+// A weight gradient long enough to take the split reduction (8 chunks of
+// 256 rows); only B is perturbed, which keeps the finite differences cheap.
+TEST(BackendGradcheck, MatmulSplitWeightGradient) {
+  ASSERT_GT(be::detail::gemm_tn_split_chunks(25, 4, 2048), 1);
+  Rng rng(24);
+  ag::Tensor a = random_tensor({2048, 25}, rng);
+  a.set_requires_grad(false);
+  ag::Tensor b = random_tensor({25, 4}, rng);
+  auto res = ag::gradcheck(
+      [](const std::vector<ag::Tensor>& in) {
+        return ag::sum(ag::square(ag::matmul(in[0], in[1])));
       },
       {a, b});
   EXPECT_TRUE(res.ok) << res.detail;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.h"
 #include "core/spl.h"
 
@@ -136,6 +141,54 @@ TEST(Hungarian, MaximizesTotalScore) {
     best = std::max(best, s);
   } while (std::next_permutation(idx.begin(), idx.end()));
   EXPECT_NEAR(hungarian_total, best, 1e-9);
+}
+
+// A NaN score used to leave the Hungarian search without a column to
+// augment along, so it spun forever; a hang now fails through ctest's
+// timeout instead of passing. Every non-finite kind must be refused by both
+// entry points, naming the first offending entry.
+std::string nonfinite_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+TEST(Hungarian, RefusesNonFiniteScores) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    ph::RMat score = ph::RMat::identity(5);
+    score.at(3, 1) = bad;
+    score.at(4, 0) = bad;  // a later entry: the message names (3, 1)
+    const std::string msg =
+        nonfinite_message([&] { (void)core::hungarian_assignment(score); });
+    EXPECT_NE(msg.find("non-finite"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(3, 1)"), std::string::npos) << msg;
+  }
+}
+
+TEST(Spl, RefusesNonFiniteScores) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Rng rng(4);
+    ph::RMat m = relaxed_from(ph::Permutation::random(6, rng), 0.01, rng);
+    m.at(0, 5) = bad;
+    const std::string msg = nonfinite_message(
+        [&] { (void)core::stochastic_permutation_legalization(m, rng); });
+    EXPECT_NE(msg.find("non-finite"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(0, 5)"), std::string::npos) << msg;
+
+    auto t = adept::ag::Tensor::from_data(
+        {2, 2}, {0.9f, static_cast<float>(bad), 0.1f, 0.9f});
+    const std::string tmsg = nonfinite_message(
+        [&] { (void)core::stochastic_permutation_legalization(t, rng); });
+    EXPECT_NE(tmsg.find("non-finite"), std::string::npos) << tmsg;
+    EXPECT_NE(tmsg.find("(0, 1)"), std::string::npos) << tmsg;
+  }
 }
 
 }  // namespace
