@@ -1,5 +1,5 @@
 // Ablation bench for ADEPT's stabilization design choices (paper Sec. 3.3.2
-// and Fig. 3; called out in DESIGN.md):
+// and Fig. 3):
 //
 //   A. Permutation init: smoothed identity vs uniform vs hard random
 //      permutation (paper: random permutations block gradient flow).

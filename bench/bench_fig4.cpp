@@ -9,7 +9,6 @@
 
 #include "backend/parallel.h"
 #include "bench_common.h"
-#include "nn/variation.h"
 #include "obs/metrics.h"
 
 namespace data = adept::data;

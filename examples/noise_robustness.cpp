@@ -13,7 +13,6 @@
 #include "common/table.h"
 #include "data/synthetic.h"
 #include "nn/train.h"
-#include "nn/variation.h"
 #include "photonics/builders.h"
 
 namespace data = adept::data;

@@ -10,9 +10,8 @@
 //      backend kernel calls (bit-exact vs the tape in eval mode).
 //   5. Serve a batch of queries through the micro-batching Server and
 //      compare its answers to the tape path.
-//   6. Re-freeze with int8 quantization (FreezeOptions::quantize_int8, the
-//      knob ADEPT_SERVE_QUANT=1 sets for a Server built from env) and show
-//      the worst-case output delta vs the fp32 plan.
+//   6. Re-freeze with int8 quantization (FreezeOptions::quantize_int8) and
+//      show the worst-case output delta vs the fp32 plan.
 //   7. Overload the server under OverloadPolicy::reject and absorb the
 //      admission refusals with the client-side retry-with-backoff helper
 //      (`submit_with_backoff` below — the intended client protocol for
@@ -21,8 +20,8 @@
 // Build & run:  ./build/example_serve_ptc [checkpoint.bin]
 //   With an argument, steps 1-3 are replaced by loading that checkpoint.
 //   Serving knobs: ADEPT_SERVE_THREADS / ADEPT_SERVE_MAX_BATCH /
-//   ADEPT_SERVE_MAX_WAIT_US / ADEPT_SERVE_POLICY / ADEPT_SERVE_DEADLINE_US /
-//   ADEPT_SERVE_QUANT (see src/common/env.h).
+//   ADEPT_SERVE_MAX_WAIT_US / ADEPT_SERVE_POLICY / ADEPT_SERVE_DEADLINE_US
+//   (see src/common/env.h).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -184,10 +183,10 @@ int main(int argc, char** argv) {
   server.shutdown();
 
   std::printf("\n=== 6. Opt-in int8 quantized serving ===\n");
-  // ADEPT_SERVE_QUANT=1 makes Server(model_ref) do this automatically; here
-  // the example freezes the quantized plan explicitly so both plans can be
-  // compared side by side. int8 is an accuracy trade: outputs are close,
-  // not bit-exact (the fp32 plan above IS bit-exact).
+  // A Server serves whichever plan it is handed; int8 is chosen at freeze.
+  // Both plans are kept here so they can be compared side by side. int8 is
+  // an accuracy trade: outputs are close, not bit-exact (the fp32 plan
+  // above IS bit-exact).
   rt::FreezeOptions qopt;
   qopt.quantize_int8 = true;
   rt::CompiledModel quantized =

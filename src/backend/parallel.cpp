@@ -21,9 +21,6 @@ namespace adept::backend {
 namespace {
 
 std::atomic<int> g_override{0};
-// Per-thread cap installed by LocalThreadScope. Plain (non-atomic) is fine:
-// only the owning thread reads or writes it.
-thread_local int t_override = 0;
 // CoreLease nesting depth on this thread (> 0: the thread holds a core).
 thread_local int t_lease_depth = 0;
 // Set while this thread runs chunks of a fanned-out launch: nested launches
@@ -34,21 +31,6 @@ thread_local bool t_in_chunk = false;
 // every launch in flight that fanned out, its helpers (and its caller when
 // the caller holds no lease). May exceed the budget: leasing never blocks.
 alignas(64) std::atomic<int> g_leased{0};
-
-// The process-wide budget, ignoring any LocalThreadScope on this thread.
-int global_budget() {
-  const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  // The env/hardware default cannot change mid-process; resolve it once so
-  // launches don't pay getenv + string construction.
-  static const int resolved = [] {
-    int hw = static_cast<int>(std::thread::hardware_concurrency());
-    if (hw <= 0) hw = 1;
-    const int env = adept::env_int("ADEPT_NUM_THREADS", hw);
-    return env > 0 ? env : hw;
-  }();
-  return resolved;
-}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -233,21 +215,23 @@ class Pool {
 }  // namespace
 
 int num_threads() {
-  if (t_override > 0) return t_override;
-  return global_budget();
+  const int forced = g_override.load(std::memory_order_relaxed);
+  if (forced > 0) return forced;
+  // The env/hardware default cannot change mid-process; resolve it once so
+  // launches don't pay getenv + string construction.
+  static const int resolved = [] {
+    int hw = static_cast<int>(std::thread::hardware_concurrency());
+    if (hw <= 0) hw = 1;
+    const int env = adept::env_int("ADEPT_NUM_THREADS", hw);
+    return env > 0 ? env : hw;
+  }();
+  return resolved;
 }
 
-void set_num_threads(int n) {
-  g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
+ThreadScope::ThreadScope(int n) : prev_(g_override.load()) {
+  g_override.store(n > 0 ? n : 0);
 }
-
-ThreadScope::ThreadScope(int n) : prev_(g_override.load()) { set_num_threads(n); }
 ThreadScope::~ThreadScope() { g_override.store(prev_); }
-
-LocalThreadScope::LocalThreadScope(int n) : prev_(t_override) {
-  t_override = n > 0 ? n : 0;
-}
-LocalThreadScope::~LocalThreadScope() { t_override = prev_; }
 
 CoreLease::CoreLease() {
   if (t_lease_depth++ == 0) g_leased.fetch_add(1, std::memory_order_relaxed);
@@ -260,11 +244,11 @@ namespace detail {
 
 bool fan_out(std::int64_t n, std::int64_t grain, std::int64_t want_by_size,
              ChunkFn fn) {
-  const int want = static_cast<int>(
-      std::min<std::int64_t>(want_by_size, num_threads()));
+  const int budget = num_threads();
+  const int want =
+      static_cast<int>(std::min<std::int64_t>(want_by_size, budget));
   if (want <= 1 || t_in_chunk) return false;
   // Lease the helpers, plus the caller's own core when it holds none.
-  const int budget = global_budget();
   const int self = t_lease_depth > 0 ? 0 : 1;
   int held = g_leased.load(std::memory_order_relaxed);
   int extra;

@@ -10,10 +10,9 @@
 //
 // Core budget. num_threads() is the number of cores the process may keep
 // busy. Resolution order:
-//   1. LocalThreadScope on the calling thread (per-thread cap, see below),
-//   2. set_num_threads(n) with n >= 1 (process-wide runtime override),
-//   3. the ADEPT_NUM_THREADS environment variable (see common/env.h),
-//   4. std::thread::hardware_concurrency().
+//   1. the n of the innermost live ThreadScope, if n >= 1 (process-wide),
+//   2. the ADEPT_NUM_THREADS environment variable (see common/env.h),
+//   3. std::thread::hardware_concurrency().
 // Threads that run work of their own lease one core of the budget with
 // CoreLease: comm::run_ranks holds one per rank thread while the world
 // runs, and a runtime::Server worker holds one while it has work queued. A
@@ -56,39 +55,19 @@
 
 namespace adept::backend {
 
-// Effective core budget for kernels launched from the calling thread
-// (always >= 1).
+// The process-wide core budget (always >= 1).
 int num_threads();
 
-// Runtime override; n <= 0 restores the env/hardware default.
-void set_num_threads(int n);
-
-// RAII scope that forces the process-wide budget (used by tests to compare
-// threaded output against the serial path).
+// RAII scope that forces the process-wide budget, restoring the previous
+// one on exit; n <= 0 restores the env/hardware default for its lifetime.
+// Used by tests and benches to compare threaded output against the serial
+// path.
 class ThreadScope {
  public:
   explicit ThreadScope(int n);
   ~ThreadScope();
   ThreadScope(const ThreadScope&) = delete;
   ThreadScope& operator=(const ThreadScope&) = delete;
-
- private:
-  int prev_;
-};
-
-// RAII scope that caps the thread count for kernels launched from the
-// CURRENT thread only, restoring the previous cap on exit: a cap on one
-// thread must not throttle kernels other threads launch concurrently, which
-// a process-wide ThreadScope would. n <= 0 means "no cap" (inherit the
-// global resolution order). Takes precedence over set_num_threads()/
-// ThreadScope for this thread; pool helpers only execute chunks handed to
-// them, so the cap never needs to propagate.
-class LocalThreadScope {
- public:
-  explicit LocalThreadScope(int n);
-  ~LocalThreadScope();
-  LocalThreadScope(const LocalThreadScope&) = delete;
-  LocalThreadScope& operator=(const LocalThreadScope&) = delete;
 
  private:
   int prev_;

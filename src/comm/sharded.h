@@ -78,8 +78,8 @@ int step_shard_count(std::int64_t items, const Communicator* comm);
 //     zero all grads; build shard loss; backward;
 //     reducer.add_shard({loss_value});
 //   }
-//   // typically from Optimizer's pre-step hook:
 //   auto scalars = reducer.finish(comm, &replicated_grads);
+//   opt.step();
 //
 // finish() writes the final gradients into the parameters' .grad buffers
 // (every parameter gets a grad, zero if nothing touched it) and returns the

@@ -51,11 +51,6 @@
 //                            from submit (default 0 = none; clamps to
 //                            [0, 600000000]). Expired requests fail with
 //                            DeadlineExceededError instead of executing.
-//   ADEPT_SERVE_QUANT        nonzero = freeze the served model with int8
-//                            quantized execution (per-channel weight scales,
-//                            int32 accumulate, dequantize on store — see
-//                            runtime/plan.h and FreezeOptions::from_env();
-//                            default 0 = fp32).
 //
 // Fault injection (see common/failpoint.h for the spec grammar and the list
 // of wired sites):

@@ -78,20 +78,6 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   optim::Adam arch_opt(mesh_->arch_params(), config_.lr_arch, 0.9, 0.999, 1e-8,
                        config_.weight_decay_arch);
 
-  // The gradient reduction rides Optimizer::step's pre-step hook: the step
-  // body points these slots at the current step's reducer/penalty stash, and
-  // step() reduces right before apply_step reads the grads.
-  comm::ShardedGradReducer* cur_reducer = nullptr;
-  std::vector<std::vector<float>>* cur_penalty = nullptr;
-  std::vector<double> reduced_scalars;
-  auto attach_hook = [&](optim::Optimizer& opt) {
-    opt.set_pre_step_hook([&, comm] {
-      reduced_scalars = cur_reducer->finish(comm, cur_penalty);
-    });
-  };
-  attach_hook(*weight_opt);
-  attach_hook(arch_opt);
-
   optim::CosineLr lr_schedule(config_.lr_weights, total_steps);
   optim::ExponentialDecay tau_schedule(config_.tau_start, config_.tau_end, total_steps);
 
@@ -114,7 +100,6 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
       weight_opt = std::make_unique<optim::Adam>(
           weight_params(), lr_schedule.at(step), 0.9, 0.999, 1e-8,
           config_.weight_decay_weights);
-      attach_hook(*weight_opt);
     }
 
     const bool warmup = epoch < config_.warmup_epochs;
@@ -134,8 +119,7 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     // after the reduce.
     const std::int64_t items = task_.begin_step_items(arch_step);
     const int shards = comm::step_shard_count(items, comm);
-    optim::Optimizer& opt =
-        arch_step ? static_cast<optim::Optimizer&>(arch_opt) : *weight_opt;
+    optim::Adam& opt = arch_step ? arch_opt : *weight_opt;
     comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
     const std::int64_t stat_cols = task_.stat_slots();
     std::vector<float> stat_rows(
@@ -189,13 +173,12 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
           mesh_->expected_footprint(config_.footprint.pdk));
     }
 
+    std::vector<double> reduced_scalars;
     {
       obs::TraceSpan optimizer_span(t_optimizer);
-      cur_reducer = &reducer;
-      cur_penalty = &penalty_grads;
-      opt.step();  // pre-step hook: reduce task grads, add penalty grads
-      cur_reducer = nullptr;
-      cur_penalty = nullptr;
+      // Task grads reduced across shards and ranks, penalty grads added once.
+      reduced_scalars = reducer.finish(comm, &penalty_grads);
+      opt.step();
       if (!arch_step && !mesh_->permutations_frozen()) alm.update(perms);
 
       if (stat_cols > 0) {

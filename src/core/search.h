@@ -95,7 +95,8 @@ struct SearchConfig {
   std::uint64_t seed = 42;
 };
 
-// Per-step observability (drives Fig. 5 and EXPERIMENTS.md).
+// Per-step values of a search run, one entry per step: the quantities paper
+// Fig. 5 plots (ALM multiplier, permutation error, expected footprint).
 struct SearchTrace {
   std::vector<double> task_loss;
   std::vector<double> alm_lambda;         // mean multiplier
@@ -121,9 +122,9 @@ class AdeptSearcher {
   //   comm == nullptr: world 1, rank 0, one shard over all of a step's
   //     items, no collective.
   //   comm != nullptr: comm::shard_count(items) micro-shards per step,
-  //     allreduced through the stepped optimizer's pre-step hook. Each rank
-  //     owns an AdeptSearcher + task replica built from the same config/seed
-  //     (see run_search_data_parallel). Bit-identical at any world size in
+  //     allreduced right before the optimizer steps. Each rank owns an
+  //     AdeptSearcher + task replica built from the same config/seed (see
+  //     run_search_data_parallel). Bit-identical at any world size in
   //     {1, 2, 4, 8}, and to the nullptr run when every step has one item.
   SearchResult run(comm::Communicator* comm = nullptr);
   SuperMesh& mesh() { return *mesh_; }

@@ -7,8 +7,7 @@
 // so every training/search code path the paper exercises runs unchanged.
 // Each class has a fixed procedural prototype (a sum of randomly placed
 // Gaussian blobs and sinusoidal gratings); samples are affine-jittered,
-// cross-class-mixed (difficulty), and pixel-noised versions of it. See
-// DESIGN.md "Substitutions" for the fidelity argument.
+// cross-class-mixed (difficulty), and pixel-noised versions of it.
 #pragma once
 
 #include <cstdint>

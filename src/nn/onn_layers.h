@@ -123,7 +123,7 @@ class PtcWeight {
 };
 
 // Base for ONN layers exposing noise control (used by variation-aware
-// training, see variation.h).
+// training and noisy evaluation, see OnnModel::set_phase_noise).
 class OnnLayer : public Module {
  public:
   virtual void set_phase_noise(double sigma, std::uint64_t seed) = 0;

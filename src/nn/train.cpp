@@ -1,7 +1,6 @@
 #include "nn/train.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -121,10 +120,6 @@ TrainStats train_loop(OnnModel& model, const data::SyntheticDataset& train_set,
                   config.weight_decay);
   optim::CosineLr schedule(config.lr, total_steps);
 
-  comm::ShardedGradReducer* cur_reducer = nullptr;
-  std::vector<double> step_scalars;
-  opt.set_pre_step_hook([&] { step_scalars = cur_reducer->finish(c); });
-
   // Telemetry: histogram/counter/gauges on rank 0 only so the recorded
   // counts do not depend on the world size; spans on every rank so
   // per-rank skew shows up in the trace.
@@ -150,7 +145,7 @@ TrainStats train_loop(OnnModel& model, const data::SyntheticDataset& train_set,
     const int nb = loader.batches_per_epoch();
     for (int b = 0; b < nb; ++b) {
       obs::TraceSpan step_span(t_step);
-      if (config.cosine_lr) opt.set_lr(schedule.at(step));
+      opt.set_lr(schedule.at(step));
       // Every rank assembles the full step batch (cheap, keeps the rng
       // streams identical) and computes only its owned shards.
       data::Batch batch = loader.batch(b);
@@ -188,11 +183,11 @@ TrainStats train_loop(OnnModel& model, const data::SyntheticDataset& train_set,
                                       static_cast<std::size_t>(stat_cols));
         }
       }
+      std::vector<double> step_scalars;
       {
         obs::TraceSpan optimizer_span(t_optimizer);
-        cur_reducer = &reducer;
-        opt.step();  // pre-step hook reduces grads + loss (across ranks)
-        cur_reducer = nullptr;
+        step_scalars = reducer.finish(c);  // grads + loss, across ranks
+        opt.step();
         if (stat_cols > 0) {
           // Rows are zero except at their owner, so the sum IS the gather;
           // every rank replays the identical bits in shard order.
@@ -214,11 +209,6 @@ TrainStats train_loop(OnnModel& model, const data::SyntheticDataset& train_set,
       epochs_total.inc();
       g_loss.set(stats.train_loss_per_epoch.back());
       g_acc.set(stats.test_accuracy_per_epoch.back());
-      if (config.verbose) {
-        std::printf("  epoch %d: loss %.4f acc %.4f\n", epoch,
-                    stats.train_loss_per_epoch.back(),
-                    stats.test_accuracy_per_epoch.back());
-      }
     }
   }
   stats.final_accuracy = stats.test_accuracy_per_epoch.empty()

@@ -25,11 +25,9 @@ struct TrainConfig {
   int batch_size = 64;
   double lr = 1e-3;
   double weight_decay = 1e-4;
-  bool cosine_lr = true;
   std::uint64_t seed = 7;
   // Variation-aware training noise (0 disables).
   double train_phase_noise = 0.0;
-  bool verbose = false;
   // Rank request (comm::use_rank_group). 0 trains single-process, one shard
   // per step, unless ADEPT_RANKS resolves above 1. An explicit count
   // (clamped to [1, 8]) trains on that many ranks with shard_count(batch)

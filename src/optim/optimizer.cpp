@@ -1,53 +1,16 @@
 #include "optim/optimizer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/version.h"
 
 namespace adept::optim {
 
-Optimizer::Optimizer(std::vector<ag::Tensor> params, double lr)
-    : params_(std::move(params)), lr_(lr) {}
-
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
-void Optimizer::step() {
-  if (pre_step_hook_) pre_step_hook_();
-  apply_step();
-  adept::bump_param_version();
-}
-
-Sgd::Sgd(std::vector<ag::Tensor> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params), lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].data().size(), 0.0f);
-  }
-}
-
-void Sgd::apply_step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    auto& data = p.data();
-    auto& grad = p.grad();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      float g = grad[j] + static_cast<float>(weight_decay_) * data[j];
-      vel[j] = static_cast<float>(momentum_) * vel[j] + g;
-      data[j] -= static_cast<float>(lr_) * vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<ag::Tensor> params, double lr, double beta1, double beta2,
            double eps, double weight_decay)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
@@ -60,7 +23,11 @@ Adam::Adam(std::vector<ag::Tensor> params, double lr, double beta1, double beta2
   }
 }
 
-void Adam::apply_step() {
+void Adam::zero_grad() {
+  for (auto& p : params_) p.zero_grad();
+}
+
+void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
@@ -80,6 +47,7 @@ void Adam::apply_step() {
       data[j] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
     }
   }
+  adept::bump_param_version();
 }
 
 }  // namespace adept::optim

@@ -31,43 +31,11 @@ Permutation Permutation::random(int k, adept::Rng& rng) {
   return Permutation(std::move(m));
 }
 
-Permutation Permutation::from_positions(const std::vector<int>& target_of_source) {
-  // target_of_source[s] = position where source lane s ends up; convert to
-  // our convention map[i] = source lane feeding position i.
-  std::vector<int> m(target_of_source.size(), -1);
-  for (std::size_t s = 0; s < target_of_source.size(); ++s) {
-    const int tgt = target_of_source[s];
-    if (tgt < 0 || tgt >= static_cast<int>(target_of_source.size()) ||
-        m[static_cast<std::size_t>(tgt)] != -1) {
-      throw std::invalid_argument("from_positions: not a bijection");
-    }
-    m[static_cast<std::size_t>(tgt)] = static_cast<int>(s);
-  }
-  return Permutation(std::move(m));
-}
-
 bool Permutation::is_identity() const {
   for (std::size_t i = 0; i < map_.size(); ++i) {
     if (map_[i] != static_cast<int>(i)) return false;
   }
   return true;
-}
-
-Permutation Permutation::compose(const Permutation& other) const {
-  if (size() != other.size()) throw std::invalid_argument("compose: size mismatch");
-  std::vector<int> m(map_.size());
-  for (std::size_t i = 0; i < map_.size(); ++i) {
-    m[i] = other.map_[static_cast<std::size_t>(map_[i])];
-  }
-  return Permutation(std::move(m));
-}
-
-Permutation Permutation::inverse() const {
-  std::vector<int> m(map_.size());
-  for (std::size_t i = 0; i < map_.size(); ++i) {
-    m[static_cast<std::size_t>(map_[i])] = static_cast<int>(i);
-  }
-  return Permutation(std::move(m));
 }
 
 RMat Permutation::to_matrix() const {
@@ -82,15 +50,6 @@ CMat Permutation::to_cmatrix() const {
   CMat m(k, k);
   for (int i = 0; i < k; ++i) m.at(i, map_[static_cast<std::size_t>(i)]) = 1.0;
   return m;
-}
-
-std::string Permutation::to_string() const {
-  std::string s = "[";
-  for (std::size_t i = 0; i < map_.size(); ++i) {
-    if (i > 0) s += " ";
-    s += std::to_string(map_[i]);
-  }
-  return s + "]";
 }
 
 bool is_valid_permutation(const std::vector<int>& map) {
@@ -145,42 +104,6 @@ std::int64_t crossing_count_naive(const Permutation& p) {
     }
   }
   return inv;
-}
-
-std::int64_t SwapSchedule::total_swaps() const {
-  std::int64_t n = 0;
-  for (const auto& layer : layers) n += static_cast<std::int64_t>(layer.size());
-  return n;
-}
-
-SwapSchedule route_permutation(const Permutation& p) {
-  // Odd-even transposition sort of the target arrangement back to identity,
-  // then reverse the schedule so it maps identity -> target. Each comparator
-  // swaps only out-of-order pairs, so total swaps == inversion count.
-  std::vector<int> arr = p.map();
-  const int k = static_cast<int>(arr.size());
-  std::vector<std::vector<int>> layers;
-  bool changed = true;
-  int parity = 0;
-  int idle_rounds = 0;
-  while (idle_rounds < 2) {
-    changed = false;
-    std::vector<int> layer;
-    for (int i = parity; i + 1 < k; i += 2) {
-      if (arr[static_cast<std::size_t>(i)] > arr[static_cast<std::size_t>(i + 1)]) {
-        std::swap(arr[static_cast<std::size_t>(i)], arr[static_cast<std::size_t>(i + 1)]);
-        layer.push_back(i);
-        changed = true;
-      }
-    }
-    if (!layer.empty()) layers.push_back(std::move(layer));
-    idle_rounds = changed ? 0 : idle_rounds + 1;
-    parity ^= 1;
-  }
-  std::reverse(layers.begin(), layers.end());
-  SwapSchedule schedule;
-  schedule.layers = std::move(layers);
-  return schedule;
 }
 
 bool permutation_from_matrix(const RMat& m, double tol, Permutation* out) {

@@ -1,4 +1,4 @@
-// Permutation algebra and waveguide-crossing accounting.
+// Permutations and waveguide-crossing accounting.
 //
 // A CR layer in a PTC block is a permutation of the K waveguides (paper
 // Eq. 4). Its hardware cost is the minimum number of pairwise waveguide
@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,8 +27,6 @@ class Permutation {
   static Permutation identity(int k);
   static Permutation reversal(int k);
   static Permutation random(int k, adept::Rng& rng);
-  // Perfect shuffle / stride permutations used by butterfly meshes.
-  static Permutation from_positions(const std::vector<int>& target_of_source);
 
   int size() const { return static_cast<int>(map_.size()); }
   int operator()(int i) const { return map_[static_cast<std::size_t>(i)]; }
@@ -38,25 +35,8 @@ class Permutation {
   bool is_identity() const;
   bool operator==(const Permutation& other) const { return map_ == other.map_; }
 
-  // this ∘ other: (this∘other)(i) = other(this(i)); matrix form
-  // M(this∘other) = M(this) * M(other) under the y = Mx convention.
-  Permutation compose(const Permutation& other) const;
-  Permutation inverse() const;
-
-  // Apply to a vector: out[i] = in[pi(i)].
-  template <typename T>
-  std::vector<T> apply(const std::vector<T>& in) const {
-    std::vector<T> out(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = in[static_cast<std::size_t>(map_[i])];
-    }
-    return out;
-  }
-
   RMat to_matrix() const;
   CMat to_cmatrix() const;
-
-  std::string to_string() const;
 
  private:
   std::vector<int> map_;
@@ -71,16 +51,6 @@ std::int64_t crossing_count(const Permutation& p);
 
 // Brute-force O(k^2) inversion count; used to cross-check in tests.
 std::int64_t crossing_count_naive(const Permutation& p);
-
-// A realizable routing: layers of non-overlapping adjacent swaps
-// (odd-even transposition schedule). The total number of swaps equals
-// crossing_count(p); the layer structure gives the routing depth.
-struct SwapSchedule {
-  // Each layer lists positions i meaning "swap lanes (i, i+1)".
-  std::vector<std::vector<int>> layers;
-  std::int64_t total_swaps() const;
-};
-SwapSchedule route_permutation(const Permutation& p);
 
 // Parse a (possibly relaxed) doubly-stochastic matrix as a permutation when
 // every row/col has a single dominant entry >= 1 - tol; returns false

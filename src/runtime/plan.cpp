@@ -5,8 +5,6 @@
 #include <cmath>
 #include <ostream>
 
-#include "common/env.h"
-
 namespace adept::runtime {
 
 namespace be = ::adept::backend;
@@ -37,12 +35,6 @@ const char* plan_kind_name(PlanStep::Kind k) {
     case PlanStep::Kind::avgpool: return "avgpool";
   }
   return "?";
-}
-
-FreezeOptions FreezeOptions::from_env() {
-  FreezeOptions o;
-  o.quantize_int8 = env_int("ADEPT_SERVE_QUANT", 0) != 0;
-  return o;
 }
 
 void fuse_plan(std::vector<PlanStep>& steps) {
@@ -204,8 +196,8 @@ std::uint64_t weight_pack_count() {
 void dump_plan_steps(const std::vector<PlanStep>& steps,
                      const std::vector<std::int64_t>& slot_sizes,
                      std::ostream& os) {
-  auto slot_name = [](int slot) {
-    return slot < 0 ? std::string("ext") : "s" + std::to_string(slot);
+  auto put_slot = [&os](int slot) -> std::ostream& {
+    return slot < 0 ? os << "ext" : os << "s" << slot;
   };
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const PlanStep& s = steps[i];
@@ -228,7 +220,9 @@ void dump_plan_steps(const std::vector<PlanStep>& steps,
     if (s.bn_after) os << " +bn";
     if (s.relu_after) os << " +relu";
     if (s.quantized) os << " int8";
-    os << "  " << slot_name(s.in_slot) << " -> " << slot_name(s.out_slot);
+    os << "  ";
+    put_slot(s.in_slot) << " -> ";
+    put_slot(s.out_slot);
     if (s.in_place) os << " (in place)";
     os << "\n";
   }

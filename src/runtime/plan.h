@@ -46,9 +46,6 @@ struct FreezeOptions {
   // int32 accumulation + dequantize-on-store (per-sample activation
   // scales, so results stay independent of micro-batch composition).
   bool quantize_int8 = false;
-
-  // ADEPT_SERVE_QUANT != 0 sets quantize_int8 (see common/env.h).
-  static FreezeOptions from_env();
 };
 
 // One step of the compiled chain. Per-sample geometry is frozen; `batch`

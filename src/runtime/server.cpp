@@ -82,7 +82,6 @@ ServerConfig ServerConfig::from_env() {
   c.max_wait_us = env_int("ADEPT_SERVE_MAX_WAIT_US", 100);
   c.policy = parse_overload_policy(env_string("ADEPT_SERVE_POLICY", "block"));
   c.deadline_us = env_int("ADEPT_SERVE_DEADLINE_US", 0);
-  c.quantize = env_int("ADEPT_SERVE_QUANT", 0) != 0;
   return c.clamped();
 }
 

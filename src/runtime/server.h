@@ -92,24 +92,14 @@ struct ServerConfig {
   // Default request deadline, measured from submit; 0 = none. Expired
   // requests fail with DeadlineExceededError instead of executing.
   std::int64_t deadline_us = 0;
-  // Freeze-time knob surfaced in the serving config so deployment entry
-  // points (examples/serve_ptc, bench_serve) pick it up alongside the other
-  // ADEPT_SERVE_* variables: serve the int8-quantized plan instead of fp32
-  // (pass FreezeOptions{.quantize_int8 = config.quantize} to freeze). The
-  // Server itself is plan-agnostic — quantization is baked into the
-  // CompiledModel it borrows. Per-sample activation scales keep the
-  // batch-composition-independence guarantee above intact for quantized
-  // plans too (asserted in tests/test_plan.cpp).
-  bool quantize = false;
 
   // Reads ADEPT_SERVE_THREADS / ADEPT_SERVE_MAX_BATCH /
-  // ADEPT_SERVE_MAX_WAIT_US / ADEPT_SERVE_POLICY / ADEPT_SERVE_DEADLINE_US /
-  // ADEPT_SERVE_QUANT, clamping out-of-range values into the supported
-  // envelope (documented in common/env.h, tested in tests/
-  // test_server_robustness.cpp): threads [1, 256] (default: hardware
-  // concurrency), max_batch [1, 4096], max_wait_us [0, 1000000], policy one
-  // of block|reject|shed_oldest (unknown -> block), deadline_us
-  // [0, 600000000] (0 = none), quantize any nonzero integer.
+  // ADEPT_SERVE_MAX_WAIT_US / ADEPT_SERVE_POLICY / ADEPT_SERVE_DEADLINE_US,
+  // clamping out-of-range values into the supported envelope (documented in
+  // common/env.h, tested in tests/test_server_robustness.cpp): threads
+  // [1, 256] (default: hardware concurrency), max_batch [1, 4096],
+  // max_wait_us [0, 1000000], policy one of block|reject|shed_oldest
+  // (unknown -> block), deadline_us [0, 600000000] (0 = none).
   static ServerConfig from_env();
 
   // The clamp from_env applies, exposed for callers building configs by

@@ -561,35 +561,49 @@ TEST(Parallel, ChunkExceptionReachesTheCaller) {
   }
 }
 
-// LocalThreadScope: the cap binds only the thread that installed it, keeps
-// that thread's kernels on the thread itself, and restores the previous cap
-// on exit.
-TEST(Parallel, LocalThreadScopeCapsOnlyItsOwnThread) {
-  be::ThreadScope four(4);
-  ASSERT_EQ(be::num_threads(), 4);
+// ThreadScope sets the process-wide budget: every thread sees it, a nested
+// scope overrides it and keeps launches on the caller, each scope restores
+// the previous budget on exit, and ThreadScope(0) reads the env/hardware
+// default.
+TEST(Parallel, ThreadScopeSetsProcessBudgetAndRestores) {
+  const int outside = be::num_threads();
+  ASSERT_GE(outside, 1);
+  // A launch whose sizes ask for 64 threads; returns how many of its
+  // indices ran off the calling thread.
+  const auto off_caller = [] {
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<int> off{0};
+    be::parallel_for(64, 1, kHeavy, [&](std::int64_t i0, std::int64_t i1) {
+      if (std::this_thread::get_id() != self) {
+        off.fetch_add(static_cast<int>(i1 - i0));
+      }
+    });
+    return off.load();
+  };
   {
-    be::LocalThreadScope cap(1);
-    EXPECT_EQ(be::num_threads(), 1);
+    be::ThreadScope four(4);
+    EXPECT_EQ(be::num_threads(), 4);
     int sibling = 0;
     std::thread([&] { sibling = be::num_threads(); }).join();
     EXPECT_EQ(sibling, 4);
-
-    const std::thread::id self = std::this_thread::get_id();
-    std::vector<std::thread::id> ran_on(64);
-    be::parallel_for(64, 1, [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-      }
-    });
-    for (const std::thread::id& id : ran_on) EXPECT_EQ(id, self);
-
+    std::uint64_t fanouts = pool_fanouts();
+    off_caller();
+    EXPECT_GT(pool_fanouts(), fanouts);
     {
-      be::LocalThreadScope inner(2);
-      EXPECT_EQ(be::num_threads(), 2);
+      be::ThreadScope one(1);
+      EXPECT_EQ(be::num_threads(), 1);
+      fanouts = pool_fanouts();
+      EXPECT_EQ(off_caller(), 0);
+      EXPECT_EQ(pool_fanouts(), fanouts);
+      {
+        be::ThreadScope unset(0);
+        EXPECT_EQ(be::num_threads(), outside);
+      }
+      EXPECT_EQ(be::num_threads(), 1);
     }
-    EXPECT_EQ(be::num_threads(), 1);
+    EXPECT_EQ(be::num_threads(), 4);
   }
-  EXPECT_EQ(be::num_threads(), 4);
+  EXPECT_EQ(be::num_threads(), outside);
 }
 
 TEST(Determinism, ElementwiseAndReduceBitExact) {

@@ -361,7 +361,7 @@ TEST(WeightCache, ReusedUnderNoGradUntilOptimizerStep) {
   auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(8));
   nn::ONNLinear fc(8, 8, nn::PtcBinding::fixed(topo), rng, /*bias=*/false);
   auto params = fc.parameters();
-  adept::optim::Sgd opt(params, 0.1);
+  adept::optim::Adam opt(params, 0.1);
   {
     ag::NoGradGuard guard;
     Tensor w1 = fc.weight().weight_expr();

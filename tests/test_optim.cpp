@@ -13,7 +13,7 @@ namespace optim = adept::optim;
 using ag::Tensor;
 
 // Quadratic bowl: loss = sum((x - target)^2)
-double optimize_quadratic(optim::Optimizer& opt, Tensor& x, const Tensor& target,
+double optimize_quadratic(optim::Adam& opt, Tensor& x, const Tensor& target,
                           int steps) {
   double final_loss = 0;
   for (int i = 0; i < steps; ++i) {
@@ -24,38 +24,6 @@ double optimize_quadratic(optim::Optimizer& opt, Tensor& x, const Tensor& target
     final_loss = loss.item();
   }
   return final_loss;
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  Tensor x = Tensor::zeros({4}, true);
-  Tensor target = Tensor::from_data({4}, {1, -2, 3, 0.5f});
-  optim::Sgd opt({x}, 0.1);
-  const double loss = optimize_quadratic(opt, x, target, 200);
-  EXPECT_LT(loss, 1e-6);
-  EXPECT_NEAR(x.data()[1], -2.0f, 1e-3);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  Tensor target = Tensor::from_data({4}, {1, -2, 3, 0.5f});
-  Tensor x1 = Tensor::zeros({4}, true);
-  optim::Sgd plain({x1}, 0.01);
-  const double slow = optimize_quadratic(plain, x1, target, 50);
-  Tensor x2 = Tensor::zeros({4}, true);
-  optim::Sgd fast({x2}, 0.01, 0.9);
-  const double quick = optimize_quadratic(fast, x2, target, 50);
-  EXPECT_LT(quick, slow);
-}
-
-TEST(Sgd, WeightDecayShrinksParameters) {
-  Tensor x = Tensor::full({2}, 1.0f, true);
-  optim::Sgd opt({x}, 0.1, 0.0, /*weight_decay=*/0.5);
-  for (int i = 0; i < 20; ++i) {
-    Tensor loss = ag::sum(ag::mul_scalar(x, 0.0f));  // zero task gradient
-    opt.zero_grad();
-    loss.backward();
-    opt.step();
-  }
-  EXPECT_LT(std::fabs(x.data()[0]), 0.5f);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -91,7 +59,7 @@ TEST(Optimizer, SkipsParamsWithoutGrad) {
 
 TEST(Optimizer, LrAccessors) {
   Tensor x = Tensor::zeros({1}, true);
-  optim::Sgd opt({x}, 0.5);
+  optim::Adam opt({x}, 0.5);
   EXPECT_DOUBLE_EQ(opt.lr(), 0.5);
   opt.set_lr(0.25);
   EXPECT_DOUBLE_EQ(opt.lr(), 0.25);

@@ -201,6 +201,20 @@ TEST(PlanDump, ListsStepsSlotsAndFusions) {
   EXPECT_NE(text.find("conv"), std::string::npos) << text;
   EXPECT_NE(text.find("slot"), std::string::npos) << text;
   EXPECT_NE(text.find("bn"), std::string::npos) << text;  // fused epilogue
+  // Slot text as docs/compiled_model.md shows it: the first step reads the
+  // caller's input into s0, the last writes the caller's output.
+  std::vector<std::string> step_lines;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("#", 0) == 0) step_lines.push_back(line);
+  }
+  ASSERT_GE(step_lines.size(), 2u) << text;
+  const auto ends_with = [](const std::string& s, const std::string& tail) {
+    return s.size() >= tail.size() &&
+           s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  EXPECT_TRUE(ends_with(step_lines.front(), "  ext -> s0")) << text;
+  EXPECT_TRUE(ends_with(step_lines.back(), " -> ext")) << text;
 
   rt::CompiledModel q =
       freeze(model, {1, 12, 12}, /*optimize=*/true, /*quantize=*/true);

@@ -4,7 +4,6 @@
 #include "photonics/builders.h"
 #include "data/synthetic.h"
 #include "nn/train.h"
-#include "nn/variation.h"
 
 namespace {
 
@@ -171,18 +170,6 @@ TEST(Train, NoisyEvaluationRestoresArmedNoise) {
   for (auto* layer : model.onn_layers) {
     EXPECT_DOUBLE_EQ(layer->phase_noise_state().sigma, 0.02);
   }
-}
-
-TEST(Train, VariationHelpersToggleNoise) {
-  Rng rng(6);
-  auto topo = std::make_shared<adept::photonics::PtcTopology>(
-      adept::photonics::butterfly(8));
-  auto model = nn::make_proxy_cnn(1, 14, 10, nn::PtcBinding::fixed(topo), rng, 4);
-  nn::VariationConfig vconfig;
-  vconfig.train_noise_sigma = 0.02;
-  EXPECT_NO_THROW(nn::enable_variation_aware_training(model, vconfig));
-  EXPECT_NO_THROW(nn::disable_phase_noise(model));
-  EXPECT_NO_THROW(nn::set_test_noise(model, 0.06, 77));
 }
 
 }  // namespace

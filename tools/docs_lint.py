@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs lint: relative-link check + env-knob drift check.
+"""Docs lint: relative-link check, env-knob drift check, cited-doc check.
 
 Run from the repo root (CI does):  python3 tools/docs_lint.py
 
@@ -16,6 +16,9 @@ Checks, each exiting non-zero on failure:
   4. Every knob src/common/env.h documents, other than the ADEPT_BENCH_*
      family (read by the benches), is read by a string literal ("KNOB")
      somewhere in src/, so a knob whose code is gone cannot stay documented.
+  5. Every *.md path cited in a .h, .cpp, .inc or .py file under src/,
+     bench/, examples/, tests/, tools/ and perfbench/ resolves from the repo
+     root, so no comment sends its reader to a doc that does not exist.
 """
 from __future__ import annotations
 
@@ -39,6 +42,11 @@ KNOB_RE = re.compile(r"\bADEPT_[A-Z0-9_]+\b")
 ROW_RE = re.compile(r"^\| `(ADEPT_[A-Z0-9_]+)", re.MULTILINE)
 # A knob read by code: the name as a complete string literal.
 LITERAL_RE = re.compile(r"\"(ADEPT_[A-Z0-9_]+)\"")
+# A doc path cited in source: a whole path token ending in .md that starts
+# with a name character, so a glob such as docs/*.md is not a citation.
+CITED_MD_RE = re.compile(r"(?<![\w./-])[\w-][\w./-]*\.md\b")
+SOURCE_DIRS = ("src", "bench", "examples", "tests", "tools", "perfbench")
+SOURCE_SUFFIXES = (".h", ".cpp", ".inc", ".py")
 
 
 def check_links() -> list[str]:
@@ -104,8 +112,25 @@ def check_env_knobs() -> list[str]:
     return errors
 
 
+def check_cited_docs() -> list[str]:
+    errors = []
+    for top in SOURCE_DIRS:
+        for src in sorted((ROOT / top).rglob("*")):
+            if src.suffix not in SOURCE_SUFFIXES or not src.is_file():
+                continue
+            text = src.read_text(encoding="utf-8")
+            for match in CITED_MD_RE.finditer(text):
+                if not (ROOT / match.group(0)).exists():
+                    line = text.count("\n", 0, match.start()) + 1
+                    errors.append(
+                        f"{src.relative_to(ROOT)}:{line}: cites "
+                        f"{match.group(0)}, which does not exist"
+                    )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_env_knobs()
+    errors = check_links() + check_env_knobs() + check_cited_docs()
     for err in errors:
         print(f"docs-lint: {err}", file=sys.stderr)
     if not errors:
