@@ -268,24 +268,28 @@ void Tensor::set_at(std::int64_t r, std::int64_t c, float v) {
 
 namespace {
 
-// Iterative post-order topological sort (avoids recursion depth limits on
-// long SuperMesh chains).
-void topo_sort(TensorImpl* root, std::vector<TensorImpl*>& order) {
+// Iterative post-order topological sort of the union of the roots' graphs,
+// the roots taken in order with one shared visited set (avoids recursion
+// depth limits on long SuperMesh chains).
+void topo_sort(const std::vector<TensorImpl*>& roots,
+               std::vector<TensorImpl*>& order) {
   std::unordered_set<TensorImpl*> visited;
   std::vector<std::pair<TensorImpl*, std::size_t>> stack;
-  stack.emplace_back(root, 0);
-  visited.insert(root);
-  while (!stack.empty()) {
-    auto& [node, next_child] = stack.back();
-    if (next_child < node->parents.size()) {
-      TensorImpl* child = node->parents[next_child].impl();
-      ++next_child;
-      if (child != nullptr && visited.insert(child).second) {
-        stack.emplace_back(child, 0);
+  for (TensorImpl* root : roots) {
+    if (!visited.insert(root).second) continue;  // reached from an earlier root
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [node, next_child] = stack.back();
+      if (next_child < node->parents.size()) {
+        TensorImpl* child = node->parents[next_child].impl();
+        ++next_child;
+        if (child != nullptr && visited.insert(child).second) {
+          stack.emplace_back(child, 0);
+        }
+      } else {
+        order.push_back(node);
+        stack.pop_back();
       }
-    } else {
-      order.push_back(node);
-      stack.pop_back();
     }
   }
 }
@@ -293,28 +297,47 @@ void topo_sort(TensorImpl* root, std::vector<TensorImpl*>& order) {
 }  // namespace
 
 void Tensor::backward(const std::vector<float>* seed_grad) const {
-  check(impl_ != nullptr, "backward: empty tensor");
-  impl_->ensure_grad();
-  if (seed_grad != nullptr) {
-    check(seed_grad->size() == impl_->data.size(), "backward: bad seed size");
-    impl_->grad = *seed_grad;
-  } else {
-    check(impl_->numel() == 1, "backward: non-scalar root needs a seed grad");
-    impl_->grad[0] = 1.0f;
+  ag::backward({*this}, {seed_grad});
+}
+
+void backward(const std::vector<Tensor>& roots,
+              const std::vector<const std::vector<float>*>& seeds) {
+  check(seeds.size() == roots.size(), "backward: need one seed per root");
+  std::vector<TensorImpl*> root_impls;
+  root_impls.reserve(roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    TensorImpl* root = roots[i].impl();
+    check(root != nullptr, "backward: empty tensor");
+    check(std::find(root_impls.begin(), root_impls.end(), root) == root_impls.end(),
+          "backward: roots must be distinct");
+    root->ensure_grad();
+    if (seeds[i] != nullptr) {
+      check(seeds[i]->size() == root->data.size(), "backward: bad seed size");
+      root->grad = *seeds[i];
+    } else {
+      check(root->numel() == 1, "backward: non-scalar root needs a seed grad");
+      root->grad[0] = 1.0f;
+    }
+    root_impls.push_back(root);
   }
   std::vector<TensorImpl*> order;
-  topo_sort(impl_.get(), order);
+  topo_sort(root_impls, order);
+  const auto is_root = [&](TensorImpl* node) {
+    return std::find(root_impls.begin(), root_impls.end(), node) != root_impls.end();
+  };
   // Op nodes keep no gradient state across backward calls: when several
-  // losses share subexpressions (the SuperMesh step state is reused by every
-  // micro-shard forward within a step), a stale intermediate grad from an
-  // earlier backward would be re-propagated into the leaves. Leaves are NOT
-  // cleared — they accumulate until the caller zeroes them.
+  // losses share subexpressions (the SuperMesh step state is reused by the
+  // penalty pass and the step's weight graphs), a stale intermediate grad
+  // from an earlier backward would be re-propagated into the leaves. Leaves
+  // are NOT cleared — they accumulate until the caller zeroes them.
   for (TensorImpl* node : order) {
-    if (node->backward_fn && !node->grad.empty() && node != impl_.get()) {
+    if (node->backward_fn && !node->grad.empty() && !is_root(node)) {
       zero_fill(node->grad);
     }
   }
-  // Post-order puts the root last; walk in reverse (root first).
+  // Post-order puts every node after its inputs; walk it in reverse, so a
+  // node runs once, after all of its consumers (and every root) have added
+  // to its grad.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl* node = *it;
     if (node->backward_fn && !node->grad.empty()) {

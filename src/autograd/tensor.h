@@ -8,8 +8,9 @@
 //     data, an optional gradient buffer, the parent tensors it was computed
 //     from, and a backward closure that scatters the output gradient into the
 //     parents' gradient buffers.
-//   * Operators (see ops.h) build the graph eagerly. Tensor::backward() runs
-//     a topological sort from the root and invokes each backward closure once.
+//   * Operators (see ops.h) build the graph eagerly. ag::backward() runs one
+//     topological sort from its roots and invokes each backward closure once;
+//     Tensor::backward() is its one-root case.
 //   * GradMode/NoGradGuard disable graph construction during evaluation.
 //   * Buffers outlive the step: every step of a training or search loop
 //     builds the same graph with the same shapes, so a dying TensorImpl
@@ -108,8 +109,8 @@ class Tensor {
   void set_at(std::int64_t r, std::int64_t c, float v);
 
   // ---- autodiff --------------------------------------------------------
-  // Backpropagate from this tensor. If it is not a scalar, seed_grad must be
-  // supplied with numel() entries.
+  // Backpropagate from this tensor: the one-root case of ag::backward. If it
+  // is not a scalar, seed_grad must be supplied with numel() entries.
   void backward(const std::vector<float>* seed_grad = nullptr) const;
   // Drop graph edges (parents + backward fn), keeping data. Used by
   // optimizers to make parameters leaves again after in-place updates.
@@ -144,6 +145,14 @@ struct TensorImpl {
     if (grad.empty()) grad = zeros_buffer(data.size());
   }
 };
+
+// Backpropagate from several roots in one pass. roots[i]'s grad is set to
+// *seeds[i] (numel() entries), or to 1 for a scalar root whose seed is
+// nullptr. One topological sort covers the union of the roots' graphs, the
+// roots taken in order, so a node they share runs its backward closure once,
+// after every root has added to its grad. Roots must be distinct.
+void backward(const std::vector<Tensor>& roots,
+              const std::vector<const std::vector<float>*>& seeds);
 
 // Construct a leaf tensor.
 Tensor make_tensor(std::vector<float> data, std::vector<std::int64_t> shape,

@@ -100,8 +100,7 @@ void ShardedGradReducer::add_shard(const std::vector<double>& scalars) {
   }
 }
 
-std::vector<double> ShardedGradReducer::finish(
-    Communicator* comm, const std::vector<std::vector<float>>* replicated) {
+std::vector<double> ShardedGradReducer::finish(Communicator* comm) {
   // Collapse the merge stack right-to-left (later shards fold into earlier
   // ones, completing the tree); a rank that owned no shards reduces zeros.
   while (stack_.size() >= 2) {
@@ -122,18 +121,21 @@ std::vector<double> ShardedGradReducer::finish(
   }
 
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    auto& g = p.grad();  // allocates zero-filled on first touch
+    auto& g = params_[i].grad();  // allocates zero-filled on first touch
     const float* src = total.buckets[bucket_of_[i]].data() + offset_of_[i];
-    if (replicated != nullptr && i < replicated->size() &&
-        !(*replicated)[i].empty()) {
-      const float* add = (*replicated)[i].data();
-      for (std::size_t j = 0; j < g.size(); ++j) g[j] = src[j] + add[j];
-    } else {
-      std::memcpy(g.data(), src, g.size() * sizeof(float));
-    }
+    std::memcpy(g.data(), src, g.size() * sizeof(float));
   }
   return total.scalars;
+}
+
+void ShardedGradReducer::add_replicated(
+    const std::vector<std::vector<float>>& replicated) {
+  for (std::size_t i = 0; i < params_.size() && i < replicated.size(); ++i) {
+    if (replicated[i].empty()) continue;
+    auto& g = params_[i].grad();
+    const float* add = replicated[i].data();
+    for (std::size_t j = 0; j < g.size(); ++j) g[j] += add[j];
+  }
 }
 
 std::vector<std::vector<float>> ShardedGradReducer::harvest_grads(

@@ -12,7 +12,13 @@
 //      count — never on the rank count. Shard boundaries (shard_range) are
 //      size-only, like the backend kernels' chunk boundaries.
 //   2. Each shard's gradient comes from its own zero_grad/backward pass, so
-//      a shard's contribution is a pure function of its items.
+//      a shard's contribution is a pure function of its items. Work that
+//      does not depend on the items is not sharded: a search step builds
+//      its weights once per rank and its shards backprop only into
+//      detached leaves of them (core::SuperMesh::pin_weight). The leaves
+//      are reduced here like parameters, and every rank then runs the same
+//      backward from the reduced leaf gradients through the weight graphs,
+//      so that backward sees identical inputs at every world size.
 //   3. Shard gradients are combined with a fixed pairwise balanced tree over
 //      shard indices (ShardedGradReducer's binary-counter merge stack):
 //        stride = 1, 2, 4:   g[s] += g[s + stride]
@@ -73,32 +79,35 @@ int step_shard_count(std::int64_t items, const Communicator* comm);
 // Accumulates per-shard gradients of a fixed parameter list in the fixed
 // shard-tree order, then allreduces the result across ranks. Usage per step:
 //
-//   ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
+//   ShardedGradReducer reducer(params_and_leaves, /*scalar_slots=*/1);
 //   for (each owned shard s, ascending) {
 //     zero all grads; build shard loss; backward;
 //     reducer.add_shard({loss_value});
 //   }
-//   auto scalars = reducer.finish(comm, &replicated_grads);
+//   auto scalars = reducer.finish(comm);
+//   ag::backward(weight_graphs, leaf_grads);  // replicated, when pinned
+//   reducer.add_replicated(penalty_grads);
 //   opt.step();
 //
-// finish() writes the final gradients into the parameters' .grad buffers
+// finish() writes the reduced gradients into the parameters' .grad buffers
 // (every parameter gets a grad, zero if nothing touched it) and returns the
 // tree-reduced scalar block. A null `comm` (single-process run) skips the
-// cross-rank allreduce. `replicated` — an optional per-parameter flat
+// cross-rank allreduce. add_replicated() then adds a per-parameter flat
 // addend that is identical on every rank (penalty gradients computed
-// redundantly per rank) — is added elementwise AFTER the cross-rank reduce,
-// so it is counted once, not world_size times.
+// redundantly per rank) elementwise, after the cross-rank reduce, so it is
+// counted once, not world_size times.
 class ShardedGradReducer {
  public:
   ShardedGradReducer(std::vector<ag::Tensor> params, int scalar_slots);
 
   void add_shard(const std::vector<double>& scalars);
-  std::vector<double> finish(
-      Communicator* comm,
-      const std::vector<std::vector<float>>* replicated = nullptr);
+  std::vector<double> finish(Communicator* comm);
+  // grad[i] += replicated[i] for the first replicated.size() parameters
+  // (an empty entry adds nothing).
+  void add_replicated(const std::vector<std::vector<float>>& replicated);
 
   // Flat copies of the params' current .grad buffers (zeros when absent) —
-  // the shape finish() expects for `replicated`.
+  // the shape add_replicated() expects.
   static std::vector<std::vector<float>> harvest_grads(
       std::vector<ag::Tensor>& params);
 

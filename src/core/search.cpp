@@ -47,10 +47,13 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   obs::Counter& legalizations = obs::counter("search.legalize_count");
   static const obs::TraceId t_step = obs::intern_name("search.step");
   static const obs::TraceId t_mesh = obs::intern_name("search.mesh");
+  static const obs::TraceId t_penalty = obs::intern_name("search.penalty");
+  static const obs::TraceId t_weights = obs::intern_name("search.weights");
   static const obs::TraceId t_forward = obs::intern_name("search.forward");
   static const obs::TraceId t_backward = obs::intern_name("search.backward");
-  static const obs::TraceId t_penalty = obs::intern_name("search.penalty");
   static const obs::TraceId t_optimizer = obs::intern_name("search.optimizer");
+  static const obs::TraceId t_weight_backward =
+      obs::intern_name("search.weight_backward");
   static const obs::TraceId t_legalize = obs::intern_name("search.legalize");
   const bool telemetry_rank = rank == 0;
 
@@ -64,9 +67,9 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     return params;
   };
   // Every differentiable leaf a loss graph can touch. A step runs several
-  // backward passes (one per owned shard + one for the replicated
-  // penalties), so grads must be wiped between passes on ALL leaves, not
-  // just the stepped optimizer's.
+  // backward passes (the replicated penalties, then one per owned shard), so
+  // grads must be wiped between passes on ALL leaves, not just the stepped
+  // optimizer's.
   auto all_params = [&]() {
     std::vector<Tensor> params = weight_params();
     for (auto& a : mesh_->arch_params()) params.push_back(a);
@@ -112,39 +115,11 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
       mesh_->begin_step(tau, rng_, /*stochastic=*/true);
     }
 
-    // Task gradients come from one backward per owned shard, combined
-    // across shards (and ranks) in the fixed tree order of comm/sharded.h.
     // The ALM + footprint penalty gradients are replicated (identical on
-    // every rank), computed in a separate pass, and added exactly once
-    // after the reduce.
-    const std::int64_t items = task_.begin_step_items(arch_step);
-    const int shards = comm::step_shard_count(items, comm);
+    // every rank): computed in their own pass before the task's, and added
+    // exactly once after the reduce and the weight backward.
     optim::Adam& opt = arch_step ? arch_opt : *weight_opt;
-    comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
-    const std::int64_t stat_cols = task_.stat_slots();
-    std::vector<float> stat_rows(
-        static_cast<std::size_t>(shards) * static_cast<std::size_t>(stat_cols),
-        0.0f);
     std::vector<Tensor> leaves = all_params();
-    for (int s = 0; s < shards; ++s) {
-      if (comm::shard_owner(s, shards, world) != rank) continue;
-      Tensor shard_loss;
-      {
-        obs::TraceSpan forward_span(t_forward);
-        for (auto& p : leaves) p.zero_grad();
-        const auto range = comm::shard_range(items, s, shards);
-        shard_loss =
-            task_.loss_shard(*mesh_, arch_step, range.lo, range.hi, items);
-      }
-      obs::TraceSpan backward_span(t_backward);
-      shard_loss.backward();
-      reducer.add_shard({static_cast<double>(shard_loss.item())});
-      if (stat_cols > 0) {
-        task_.capture_shard_stats(stat_rows.data() +
-                                  static_cast<std::size_t>(s) *
-                                      static_cast<std::size_t>(stat_cols));
-      }
-    }
     std::vector<Tensor> perms;
     Tensor penalty;
     std::vector<std::vector<float>> penalty_grads;
@@ -173,11 +148,67 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
           mesh_->expected_footprint(config_.footprint.pdk));
     }
 
+    // The task pins the step's items and builds the weights its shards
+    // share, once per rank (SuperMesh::pin_weight). Task gradients come from
+    // one backward per owned shard into the parameters and the pinned
+    // leaves, combined across shards (and ranks) in the fixed tree order of
+    // comm/sharded.h.
+    std::int64_t items = 0;
+    {
+      obs::TraceSpan weights_span(t_weights);
+      mesh_->open_weight_pins();
+      items = task_.begin_step_items(arch_step);
+    }
+    std::vector<Tensor> reduced = opt.params();
+    std::vector<Tensor> weight_graphs;
+    std::vector<Tensor> weight_leaves;
+    for (const auto& pin : mesh_->weight_pins()) {
+      weight_graphs.push_back(pin.graph);
+      weight_leaves.push_back(pin.leaf);
+      reduced.push_back(pin.leaf);
+      leaves.push_back(pin.leaf);
+    }
+    const int shards = comm::step_shard_count(items, comm);
+    comm::ShardedGradReducer reducer(std::move(reduced), /*scalar_slots=*/1);
+    const std::int64_t stat_cols = task_.stat_slots();
+    std::vector<float> stat_rows(
+        static_cast<std::size_t>(shards) * static_cast<std::size_t>(stat_cols),
+        0.0f);
+    for (int s = 0; s < shards; ++s) {
+      if (comm::shard_owner(s, shards, world) != rank) continue;
+      Tensor shard_loss;
+      {
+        obs::TraceSpan forward_span(t_forward);
+        for (auto& p : leaves) p.zero_grad();
+        const auto range = comm::shard_range(items, s, shards);
+        shard_loss =
+            task_.loss_shard(*mesh_, arch_step, range.lo, range.hi, items);
+      }
+      obs::TraceSpan backward_span(t_backward);
+      shard_loss.backward();
+      reducer.add_shard({static_cast<double>(shard_loss.item())});
+      if (stat_cols > 0) {
+        task_.capture_shard_stats(stat_rows.data() +
+                                  static_cast<std::size_t>(s) *
+                                      static_cast<std::size_t>(stat_cols));
+      }
+    }
+
     std::vector<double> reduced_scalars;
     {
       obs::TraceSpan optimizer_span(t_optimizer);
-      // Task grads reduced across shards and ranks, penalty grads added once.
-      reduced_scalars = reducer.finish(comm, &penalty_grads);
+      // Task grads reduced across shards and ranks; then, on every rank, one
+      // backward from the reduced leaf grads through the pinned weight
+      // graphs (roots in build order); penalty grads added last.
+      reduced_scalars = reducer.finish(comm);
+      {
+        obs::TraceSpan weight_backward_span(t_weight_backward);
+        std::vector<const std::vector<float>*> seeds;
+        for (auto& leaf : weight_leaves) seeds.push_back(&leaf.grad());
+        ag::backward(weight_graphs, seeds);
+        mesh_->close_weight_pins();
+      }
+      reducer.add_replicated(penalty_grads);
       opt.step();
       if (!arch_step && !mesh_->permutations_frozen()) alm.update(perms);
 
@@ -205,6 +236,7 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     }
   }
 
+  mesh_->release_weight_pins();
   if (!mesh_->permutations_frozen()) {
     obs::TraceSpan legalize_span(t_legalize);
     if (telemetry_rank) legalizations.inc();

@@ -34,7 +34,11 @@ namespace adept::core {
 // A differentiable training task driving the search. Implementations own the
 // per-tile weights (phases Phi, diagonals Sigma, plus any classifier
 // parameters) and build their loss through SuperMesh::tile_unitary_batched,
-// per step and per item range (the shard API below).
+// per step and per item range (the shard API below). A task whose weights
+// do not depend on the items (the CNN proxy) builds each of them once per
+// step in begin_step_items and pins it on the mesh (SuperMesh::pin_weight);
+// its shards then backprop into detached leaves, and the searcher carries
+// the reduced leaf gradients through the pinned graphs once per rank.
 class ProxyTask {
  public:
   virtual ~ProxyTask() = default;
@@ -42,7 +46,8 @@ class ProxyTask {
   virtual void bind(SuperMesh& mesh) = 0;
   // loss_shard over [0, begin_step_items(validation)): the whole loss of a
   // freshly pinned step, for tests and metrics. The search never calls it;
-  // it is virtual only for forwarding wrappers.
+  // it is virtual only for forwarding wrappers. Outside the searcher no
+  // weight pins are open, so its graph reaches every parameter.
   virtual ag::Tensor loss(SuperMesh& mesh, bool validation);
   // Task-owned trainable parameters.
   virtual std::vector<ag::Tensor> weights() = 0;
@@ -55,7 +60,10 @@ class ProxyTask {
   // Draw/pin this step's items — called exactly once per step on EVERY rank
   // (so any task-internal rng advances identically) — and return the item
   // count to shard over. `validation` picks the bilevel split (weights vs
-  // architecture).
+  // architecture). It is also where a task pins the weights its shards
+  // share, when the mesh has pins open (SuperMesh::weight_pins_open): a
+  // rank that owns no shard still needs them for the replicated weight
+  // backward.
   virtual std::int64_t begin_step_items(bool validation) = 0;
   // Loss over items [lo, hi) of the pinned step data, scaled by 1/items so
   // the shard losses of one step sum to the step's full (mean) loss.
@@ -116,9 +124,12 @@ class AdeptSearcher {
  public:
   AdeptSearcher(const SearchConfig& config, ProxyTask& task);
 
-  // One step body: a backward per owned loss_shard, combined in the fixed
-  // tree of comm/sharded.h, plus a separate backward for the ALM + footprint
-  // penalties.
+  // One step body, in order: a backward for the ALM + footprint penalties;
+  // begin_step_items with the mesh's weight pins open; a backward per owned
+  // loss_shard into the parameters and the pinned leaves, combined in the
+  // fixed tree of comm/sharded.h; one backward from the reduced leaf grads
+  // through the pinned weight graphs, the same on every rank; the penalty
+  // grads added; the optimizer step.
   //   comm == nullptr: world 1, rank 0, one shard over all of a step's
   //     items, no collective.
   //   comm != nullptr: comm::shard_count(items) micro-shards per step,

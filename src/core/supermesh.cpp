@@ -110,11 +110,51 @@ void SuperMesh::begin_step(double tau, adept::Rng& rng, bool stochastic) {
   step_u_ = make_step(u_, tau, rng, stochastic);
   step_v_ = make_step(v_, tau, rng, stochastic);
   step_ready_ = true;
+  ++step_count_;
   // Parameters move once per optimization step (between begin_step calls),
   // so the hard footprint counts cached for the previous step are stale now,
   // and so is any materialized weight built from the old step expressions.
   invalidate_footprint_cache();
   adept::bump_param_version();
+}
+
+void SuperMesh::open_weight_pins() {
+  ag::check(step_ready_, "open_weight_pins: call begin_step first");
+  pins_.clear();
+  pins_step_ = step_count_;
+}
+
+void SuperMesh::close_weight_pins() { pins_step_ = 0; }
+
+void SuperMesh::release_weight_pins() {
+  pins_.clear();
+  pins_step_ = 0;
+}
+
+bool SuperMesh::weight_pins_open() const {
+  return step_ready_ && pins_step_ == step_count_;
+}
+
+const std::vector<SuperMesh::WeightPin>& SuperMesh::weight_pins() const {
+  static const std::vector<WeightPin> none;
+  return weight_pins_open() ? pins_ : none;
+}
+
+Tensor SuperMesh::pin_weight(const void* owner, Tensor graph) {
+  ag::check(weight_pins_open(), "pin_weight: no pins open for this step");
+  ag::check(!pinned_weight(owner).defined(),
+            "pin_weight: this owner is already pinned for this step");
+  Tensor leaf = ag::make_tensor(graph.data(), graph.shape(), /*requires_grad=*/true);
+  pins_.push_back({owner, std::move(graph), leaf});
+  return leaf;
+}
+
+Tensor SuperMesh::pinned_weight(const void* owner) const {
+  if (!weight_pins_open()) return {};
+  for (const auto& pin : pins_) {
+    if (pin.owner == owner) return pin.leaf;
+  }
+  return {};
 }
 
 const SuperMesh::StepState& SuperMesh::step_exprs(Side side) const {
@@ -269,6 +309,7 @@ void SuperMesh::legalize_permutations(adept::Rng& rng, const SplConfig& spl) {
   }
   perms_frozen_ = true;
   step_ready_ = false;  // cached expressions refer to the old parameters
+  pins_.clear();
   invalidate_footprint_cache();
   adept::bump_param_version();
 }

@@ -20,6 +20,7 @@
 //   loss = task + alm.penalty(sm.all_relaxed_perms()) + sm.footprint_penalty(cfg)
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "autograd/complex.h"
@@ -90,6 +91,38 @@ class SuperMesh {
   };
   const StepState& step_exprs(Side side) const;
 
+  // ---- per-step weight pins ---------------------------------------------
+  // A step's tile weights depend on its sample and on the phases, never on
+  // which items a micro-shard holds. So the searcher opens the step's pins
+  // after begin_step, a task builds each weight once (pin_weight), and the
+  // shard forwards read its detached leaf (pinned_weight) instead of
+  // rebuilding the chain. The searcher reduces the leaves' gradients with
+  // the parameters' and backprops them once through the pinned graphs, then
+  // closes the pins. Pins are handed out only between open_weight_pins and
+  // close_weight_pins of one step, as counted by the mesh's own step count:
+  // begin_step bumps it, so a mesh never hands out a pin from an earlier
+  // step, and nothing outside the mesh (another mesh's step, an optimizer
+  // step) can invalidate one. Outside an opened step nothing is pinned and
+  // every weight builds its whole graph. A closed step's graphs stay stored
+  // until the next open_weight_pins releases them, so their memory goes
+  // straight to the next step's graphs instead of back to the system
+  // between steps; release_weight_pins frees them at once.
+  struct WeightPin {
+    const void* owner;  // the weight's builder (nn::PtcWeight)
+    ag::Tensor graph;   // the built expression, reaching the parameters
+    ag::Tensor leaf;    // a detached copy of its value, requires_grad
+  };
+  void open_weight_pins();
+  void close_weight_pins();
+  void release_weight_pins();
+  bool weight_pins_open() const;
+  // Registers `graph` as owner's weight of this step; returns the leaf.
+  ag::Tensor pin_weight(const void* owner, ag::Tensor graph);
+  // Owner's leaf of this step, or an undefined tensor.
+  ag::Tensor pinned_weight(const void* owner) const;
+  // This step's pins in build order; empty unless they are open.
+  const std::vector<WeightPin>& weight_pins() const;
+
   // All reparametrized permutations of the current step (U blocks then V),
   // for the ALM penalty.
   std::vector<ag::Tensor> all_relaxed_perms() const;
@@ -153,6 +186,9 @@ class SuperMesh {
   StepState step_u_, step_v_;
   bool step_ready_ = false;
   bool perms_frozen_ = false;
+  std::uint64_t step_count_ = 0;  // begin_step calls so far
+  std::uint64_t pins_step_ = 0;   // step whose pins are open; 0: none
+  std::vector<WeightPin> pins_;
   mutable std::vector<BlockCounts> block_counts_[2];  // indexed by Side
 };
 

@@ -191,6 +191,10 @@ Tensor PtcWeight::build_weight() {
 
 Tensor PtcWeight::weight_expr() {
   if (binding_.kind == PtcBinding::Kind::dense) return dense_weight_;
+  if (binding_.kind == PtcBinding::Kind::supermesh) {
+    Tensor pinned = binding_.supermesh->pinned_weight(this);
+    if (pinned.defined()) return pinned;
+  }
   // Under NoGradGuard with noise off the materialized weight is a pure
   // function of the parameter/noise version: reuse it until something bumps
   // adept::param_version() (optimizer step, begin_step, noise setters).
@@ -216,6 +220,12 @@ Tensor PtcWeight::weight_expr() {
     cached_version_ = version;
   }
   return w;
+}
+
+void PtcWeight::pin_step_weight() {
+  if (binding_.kind != PtcBinding::Kind::supermesh) return;
+  core::SuperMesh& mesh = *binding_.supermesh;
+  if (mesh.weight_pins_open()) mesh.pin_weight(this, build_weight());
 }
 
 std::vector<Tensor> PtcWeight::parameters() {

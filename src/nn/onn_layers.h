@@ -21,7 +21,9 @@
 // node (bblock_transfer / bcolphase_scale / bcmatmul). Under NoGradGuard
 // with noise disabled, the materialized [out,in] weight is cached and keyed
 // on adept::param_version() — evaluation loops rebuild the mesh once per
-// parameter change instead of once per batch.
+// parameter change instead of once per batch. A search step builds each
+// supermesh weight once and pins it on the mesh, so its micro-shard
+// forwards share one graph (core::SuperMesh::pin_weight).
 #pragma once
 
 #include <memory>
@@ -63,11 +65,16 @@ class PtcWeight {
             const PtcBinding& binding, adept::Rng& rng);
 
   // Weight expression [out, in] for the current step: one tape node per
-  // chain stage for all tiles. Rebuilt per forward while gradients are
-  // tracked; cached per parameter/noise version under NoGradGuard with
-  // noise off.
+  // chain stage for all tiles. A supermesh weight pinned for the step
+  // (pin_step_weight) returns its detached leaf. Otherwise it is rebuilt
+  // per forward while gradients are tracked, and cached per
+  // parameter/noise version under NoGradGuard with noise off.
   ag::Tensor weight_expr();
   std::vector<ag::Tensor> parameters();
+  // Builds a supermesh weight once for a step whose pins the searcher
+  // opened (core::SuperMesh::open_weight_pins) and registers it with the
+  // mesh. A no-op for other bindings and when no pins are open.
+  void pin_step_weight();
 
   // Gaussian phase drift injected into every phase shifter on each forward
   // (0 disables). Re-arms the drift stream from `seed`. Applies to
@@ -130,6 +137,7 @@ class OnnLayer : public Module {
   virtual void set_phase_noise_sigma(double sigma) = 0;
   virtual PhaseNoiseState phase_noise_state() const = 0;
   virtual void restore_phase_noise(const PhaseNoiseState& state) = 0;
+  virtual PtcWeight& weight() = 0;
 };
 
 class ONNLinear : public OnnLayer {
@@ -142,7 +150,7 @@ class ONNLinear : public OnnLayer {
   void set_phase_noise_sigma(double sigma) override;
   PhaseNoiseState phase_noise_state() const override;
   void restore_phase_noise(const PhaseNoiseState& state) override;
-  PtcWeight& weight() { return weight_; }
+  PtcWeight& weight() override { return weight_; }
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
   bool has_bias() const { return bias_.defined(); }
@@ -165,7 +173,7 @@ class ONNConv2d : public OnnLayer {
   void set_phase_noise_sigma(double sigma) override;
   PhaseNoiseState phase_noise_state() const override;
   void restore_phase_noise(const PhaseNoiseState& state) override;
-  PtcWeight& weight() { return weight_; }
+  PtcWeight& weight() override { return weight_; }
   std::int64_t in_channels() const { return in_c_; }
   std::int64_t out_channels() const { return out_c_; }
   std::int64_t kernel() const { return k_; }

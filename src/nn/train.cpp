@@ -324,6 +324,9 @@ std::int64_t OnnProxyTask::begin_step_items(bool validation) {
   // running stats on the spot — capture them for the gather/replay protocol.
   for (auto* bn : bn_layers_) bn->set_stat_capture(true);
   step_batch_ = next_batch(validation);
+  // In a step the searcher opened, every layer's weight is built here, once,
+  // in forward order; the shard forwards read the pinned leaves.
+  for (auto* layer : model_.onn_layers) layer->weight().pin_step_weight();
   return static_cast<std::int64_t>(step_batch_.labels.size());
 }
 

@@ -361,6 +361,40 @@ TEST(RankParity, OnnProxySearchBitIdenticalAcrossRanks) {
   assert_results_equal(r1, r4);
 }
 
+TEST(RankParity, OnnProxySearchWithShardlessRanks) {
+  // Batch 2 gives 2 micro-shards per step. On 4 ranks they go to ranks 0
+  // and 2, so ranks 1 and 3 own no shard, yet they must still build the
+  // step's weights and run the replicated weight backward. Their results
+  // are checked too, not only rank 0's: a shardless rank that skipped the
+  // weight backward would keep training the shared parameters wrongly
+  // without changing anything rank 0 sees.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 16, 3);
+  data::SyntheticDataset val(spec, 8, 4);
+  auto config = parity_search_config();
+  config.epochs = 2;
+  config.steps_per_epoch = 4;
+  config.spl_epoch = 1;
+  auto run_at = [&](int world) {
+    std::vector<core::SearchResult> results(static_cast<std::size_t>(world));
+    comm::run_ranks(world, [&](comm::Communicator& c) {
+      nn::OnnProxyTask task(train, val, /*batch=*/2, /*width=*/4, /*seed=*/12);
+      core::AdeptSearcher searcher(config, task);
+      results[static_cast<std::size_t>(c.rank())] = searcher.run(&c);
+    });
+    return results;
+  };
+  const auto r1 = run_at(1);
+  ASSERT_EQ(r1[0].trace.task_loss.size(),
+            static_cast<std::size_t>(config.epochs * config.steps_per_epoch));
+  for (int world : {2, 4}) {
+    const auto rw = run_at(world);
+    for (const auto& r : rw) assert_results_equal(r1[0], r);
+  }
+}
+
 nn::OnnModel parity_model(std::uint64_t seed) {
   auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(8));
   Rng rng(seed);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "common/rng.h"
+#include "common/version.h"
 #include "core/supermesh.h"
 #include "nn/onn_layers.h"
+#include "optim/optimizer.h"
 #include "photonics/builders.h"
 
 namespace {
@@ -199,6 +202,61 @@ TEST(ONNLinear, SuperMeshBindingTrainsEndToEnd) {
   bool arch_grad = false;
   for (auto& t : mesh.arch_params()) arch_grad = arch_grad || t.has_grad();
   EXPECT_TRUE(arch_grad);
+}
+
+// A pin is tied to its mesh's step count, not to the process-wide
+// parameter version: another rank's mesh stepping and another rank's
+// optimizer stepping bump that version, and the pin must survive both.
+TEST(WeightPin, ValidUntilItsOwnMeshStepsAgain) {
+  core::SuperMeshConfig config;
+  config.k = 4;
+  config.super_blocks_per_unitary = 2;
+  config.always_on_per_unitary = 1;
+  Rng rng(12);
+  core::SuperMesh mesh(config, rng);
+  nn::PtcWeight w(4, 6, nn::PtcBinding::searched(&mesh), rng);
+  mesh.begin_step(1.0, rng);
+  // No pins unless the step's pins were opened: each call builds afresh.
+  w.pin_step_weight();
+  EXPECT_TRUE(mesh.weight_pins().empty());
+  EXPECT_NE(w.weight_expr().impl(), w.weight_expr().impl());
+
+  mesh.open_weight_pins();
+  w.pin_step_weight();
+  ASSERT_EQ(mesh.weight_pins().size(), 1u);
+  const Tensor leaf = mesh.weight_pins()[0].leaf;
+  EXPECT_TRUE(leaf.requires_grad());
+  EXPECT_EQ(leaf.data(), mesh.weight_pins()[0].graph.data());
+  EXPECT_EQ(w.weight_expr().impl(), leaf.impl());
+  EXPECT_THROW(mesh.pin_weight(&w, w.weight_expr()), std::invalid_argument);
+
+  const std::uint64_t version = adept::param_version();
+  std::thread other([&config] {
+    Rng r(13);
+    core::SuperMesh other_mesh(config, r);
+    other_mesh.begin_step(1.0, r);
+    Tensor p = Tensor::full({3}, 1.0f, /*requires_grad=*/true);
+    p.grad().assign(3, 0.5f);
+    adept::optim::Adam opt({p}, 0.1);
+    opt.step();
+  });
+  other.join();
+  EXPECT_GT(adept::param_version(), version);
+  EXPECT_TRUE(mesh.weight_pins_open());
+  EXPECT_EQ(w.weight_expr().impl(), leaf.impl());
+
+  // The mesh's next step never returns the previous step's pin, whether
+  // or not its pins are opened again.
+  mesh.begin_step(1.0, rng);
+  EXPECT_FALSE(mesh.weight_pins_open());
+  EXPECT_FALSE(mesh.pinned_weight(&w).defined());
+  EXPECT_NE(w.weight_expr().impl(), leaf.impl());
+  mesh.open_weight_pins();
+  EXPECT_FALSE(mesh.pinned_weight(&w).defined());
+  w.pin_step_weight();
+  EXPECT_NE(w.weight_expr().impl(), leaf.impl());
+  mesh.close_weight_pins();
+  EXPECT_FALSE(mesh.pinned_weight(&w).defined());
 }
 
 }  // namespace

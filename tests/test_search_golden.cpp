@@ -1,5 +1,7 @@
-// Golden fingerprints of the MatrixFitTask search on the quickstart config
-// (K = 8, 4 super blocks per unitary, examples/quickstart.cpp). Each one
+// Golden fingerprints of two searches: the MatrixFitTask search on the
+// quickstart config (K = 8, 4 super blocks per unitary,
+// examples/quickstart.cpp), and a small CNN-proxy (OnnProxyTask) search,
+// whose weights are built once per step and pinned on the mesh. Each one
 // hashes the bit pattern of all six SearchTrace vectors, the final metric and
 // the serialized topology, so any change to the search numerics — the loss
 // graph, its summation order, the RNG draw order, the shard tree — shows up
@@ -24,11 +26,15 @@
 #include "backend/dispatch.h"
 #include "backend/parallel.h"
 #include "core/search.h"
+#include "data/synthetic.h"
+#include "nn/train.h"
 
 namespace {
 
 namespace be = adept::backend;
 namespace core = adept::core;
+namespace data = adept::data;
+namespace nn = adept::nn;
 namespace ph = adept::photonics;
 
 // FNV-1a, 64 bit.
@@ -131,6 +137,61 @@ TEST(SearchGolden, FiveTilesOnFourRanks) {
   };
   expect_golden(core::run_search_data_parallel(quickstart_config(), make_task, 4),
                 kFiveTilesFourRanks);
+}
+
+// The CNN proxy at K = 4 on 14x14 inputs, batch 12 (the setup of
+// RankParity.OnnProxySearchBitIdenticalAcrossRanks): a single-process run
+// takes one shard per step, a rank group 8 micro-shards.
+core::SearchConfig cnn_proxy_config() {
+  core::SearchConfig config;
+  config.mesh.k = 4;
+  config.mesh.super_blocks_per_unitary = 3;
+  config.mesh.always_on_per_unitary = 1;
+  config.footprint.pdk = ph::Pdk::amf();
+  config.footprint.f_min = 40;
+  config.footprint.f_max = 240;
+  config.epochs = 2;
+  config.warmup_epochs = 1;
+  config.spl_epoch = 1;
+  config.steps_per_epoch = 6;
+  config.alm.rho0 = 1e-4;
+  config.seed = 21;
+  return config;
+}
+
+struct CnnProxyData {
+  data::SyntheticDataset train, val;
+  static data::DatasetSpec spec() {
+    auto s = data::DatasetSpec::mnist_like();
+    s.height = 14;
+    s.width = 14;
+    return s;
+  }
+  CnnProxyData() : train(spec(), 48, 1), val(spec(), 32, 2) {}
+  std::unique_ptr<core::ProxyTask> make_task() const {
+    return std::make_unique<nn::OnnProxyTask>(train, val, /*batch=*/12,
+                                              /*width=*/4, /*seed=*/10);
+  }
+};
+
+constexpr Golden kCnnProxyOneProcess = {0xe844ae1f9555c382ull,
+                                         0x38ab4cfd034d3691ull};
+constexpr Golden kCnnProxyFourRanks = {0x686f246797fdc902ull,
+                                        0x6971da09069e720aull};
+
+TEST(SearchGolden, CnnProxyOneProcess) {
+  const CnnProxyData d;
+  be::ThreadScope scope(1);
+  auto task = d.make_task();
+  expect_golden(core::AdeptSearcher(cnn_proxy_config(), *task).run(),
+                kCnnProxyOneProcess);
+}
+
+TEST(SearchGolden, CnnProxyFourRanks) {
+  const CnnProxyData d;
+  expect_golden(core::run_search_data_parallel(
+                    cnn_proxy_config(), [&] { return d.make_task(); }, 4),
+                kCnnProxyFourRanks);
 }
 
 }  // namespace

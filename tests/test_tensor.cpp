@@ -86,6 +86,42 @@ TEST(Tensor, NonScalarBackwardNeedsSeed) {
   EXPECT_FLOAT_EQ(x.grad()[1], 20.0f);
 }
 
+TEST(Tensor, MultiRootBackwardRunsSharedNodeOnce) {
+  // s = 2x feeds both roots: r1 = 3s, r2 = 4s. s's closure must run once,
+  // seeing the grad of both roots (3 + 4), so dx = 2 * 7.
+  Tensor x = Tensor::scalar(1.5f, true);
+  int calls = 0;
+  float seen = 0.0f;
+  Tensor s = ag::make_op({2.0f * x.item()}, {1}, {x}, [&](ag::TensorImpl& self) {
+    ++calls;
+    seen = self.grad[0];
+    auto& in = *self.parents[0].impl();
+    in.ensure_grad();
+    in.grad[0] += 2.0f * self.grad[0];
+  });
+  Tensor r1 = ag::mul_scalar(s, 3.0f);
+  Tensor r2 = ag::mul_scalar(s, 4.0f);
+  ag::backward({r1, r2}, {nullptr, nullptr});
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen, 7.0f);
+  EXPECT_EQ(x.grad()[0], 14.0f);
+}
+
+TEST(Tensor, MultiRootBackwardSeedsEveryRoot) {
+  // r2 = 3 * r1 with r1 = 2x: r1 is a root and also an input of r2, so its
+  // grad is its own seed plus r2's contribution.
+  Tensor x = Tensor::from_data({2}, {1, 2}, true);
+  Tensor r1 = ag::mul_scalar(x, 2.0f);
+  Tensor r2 = ag::mul_scalar(r1, 3.0f);
+  const std::vector<float> s1 = {1.0f, 10.0f}, s2 = {100.0f, 1000.0f};
+  ag::backward({r2, r1}, {&s2, &s1});
+  EXPECT_EQ(x.grad()[0], 2.0f * (1.0f + 3.0f * 100.0f));
+  EXPECT_EQ(x.grad()[1], 2.0f * (10.0f + 3.0f * 1000.0f));
+  EXPECT_THROW(ag::backward({r1, r1}, {&s1, &s1}), std::invalid_argument);
+  EXPECT_THROW(ag::backward({r1}, {}), std::invalid_argument);
+  ag::backward({}, {});  // no roots: nothing to do
+}
+
 TEST(Tensor, NoGradGuardDisablesGraph) {
   Tensor x = Tensor::scalar(1.0f, true);
   {

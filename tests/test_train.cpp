@@ -103,6 +103,52 @@ TEST(Train, OnnProxyTaskLossAndMetric) {
   EXPECT_LE(acc, 1.0);
 }
 
+TEST(Train, OnnProxyTaskLossOutsideSearchReachesPhases) {
+  // ProxyTask::loss is for callers outside the searcher: with no weight
+  // pins open its graph must reach every PtcWeight phase and Sigma stack.
+  const auto spec = tiny_spec();
+  data::SyntheticDataset train(spec, 32, 8);
+  data::SyntheticDataset val(spec, 32, 9);
+  core::SuperMeshConfig mesh_config;
+  mesh_config.k = 8;
+  mesh_config.super_blocks_per_unitary = 2;
+  mesh_config.always_on_per_unitary = 1;
+  Rng rng(5);
+  core::SuperMesh mesh(mesh_config, rng);
+  nn::OnnProxyTask task(train, val, /*batch=*/16, /*width=*/4, /*seed=*/10);
+  task.bind(mesh);
+  // At K = 8 and width 4 the phase and Sigma stacks ([T, 8]) are the only
+  // task parameters with 8 columns: 2 + 2 + 1 per layer, 3 layers.
+  std::vector<adept::ag::Tensor> stacks;
+  for (auto& p : task.weights()) {
+    if (p.ndim() == 2 && p.dim(1) == 8) stacks.push_back(p);
+  }
+  ASSERT_EQ(stacks.size(), 15u);
+  auto loss_reaches_every_stack = [&] {
+    for (auto& p : task.weights()) p.zero_grad();
+    task.loss(mesh, /*validation=*/false).backward();
+    for (auto& p : stacks) {
+      if (!p.has_grad()) return false;
+      bool any = false;
+      for (float g : p.grad()) any = any || g != 0.0f;
+      if (!any) return false;
+    }
+    return true;
+  };
+  mesh.begin_step(1.0, rng);
+  EXPECT_TRUE(loss_reaches_every_stack());
+  // In a step whose pins are open the forward reads the pinned leaves, so
+  // the loss stops there...
+  mesh.begin_step(1.0, rng);
+  mesh.open_weight_pins();
+  EXPECT_FALSE(loss_reaches_every_stack());
+  EXPECT_EQ(mesh.weight_pins().size(), 3u);
+  // ...and the mesh's next step hands out no pin again.
+  mesh.begin_step(1.0, rng);
+  EXPECT_TRUE(mesh.weight_pins().empty());
+  EXPECT_TRUE(loss_reaches_every_stack());
+}
+
 TEST(Train, EvaluateAccuracyRestoresTrainingMode) {
   // Regression: evaluate_accuracy used to force set_training(true) on exit,
   // clobbering the caller's mode (OnnProxyTask::metric left the model in
