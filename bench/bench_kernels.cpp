@@ -325,6 +325,129 @@ adept::bench::JsonRecord gemm_tn_split_record(std::int64_t m, std::int64_t n,
            {"speedup", t_gemm.threaded_s / t_split.threaded_s}}};
 }
 
+// The implicit-GEMM conv against the materialized im2col + gemm sequence it
+// replaced, on the same operands. `pass` names what is timed:
+//   serve   the plan's fp32 conv step: weights packed at freeze, im2col +
+//           gemm_packed + the NCHW store vs conv2d_forward;
+//   fwd     the tape's forward: im2col + gemm(N, N) against the transposed
+//           weight + the NCHW store vs conv2d_forward;
+//   dw      the weight gradient: im2col + gemm_tn_split + the transposed add
+//           vs conv2d_backward with only gw (dY given as gemm rows on the
+//           baseline side, as NCHW on the backend side);
+//   dx      the input gradient: gemm(N, T) into columns + col2im vs
+//           conv2d_backward with only gx.
+// Both sides are timed pinned to one thread and at the configured budget;
+// `size` is the batch.
+adept::bench::JsonRecord conv_record(const char* pass, std::int64_t n,
+                                     std::int64_t c, std::int64_t hw,
+                                     std::int64_t k, std::int64_t out_c) {
+  be::ConvShape s;
+  s.n = n;
+  s.c = c;
+  s.h = s.w = hw;
+  s.k = k;
+  s.out_c = out_c;
+  const std::int64_t rows = s.rows(), fan_in = s.fan_in();
+  const std::int64_t ohow = s.oh() * s.ow();
+  adept::Rng rng(9);
+  auto fill = [&rng](std::int64_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-1, 1));
+    return v;
+  };
+  const auto x = fill(n * c * hw * hw);
+  const auto w = fill(out_c * fan_in);  // [out_c, fan_in]
+  const auto gy = fill(rows * out_c);   // NCHW, also read as dY rows
+  std::vector<float> wt(static_cast<std::size_t>(fan_in * out_c));
+  for (std::int64_t oc = 0; oc < out_c; ++oc) {
+    for (std::int64_t i = 0; i < fan_in; ++i) {
+      wt[static_cast<std::size_t>(i * out_c + oc)] =
+          w[static_cast<std::size_t>(oc * fan_in + i)];
+    }
+  }
+  const be::PackedGemmB pw =
+      be::pack_gemm_b(be::Trans::N, fan_in, out_c, wt.data(), out_c);
+  std::vector<float> cols(static_cast<std::size_t>(rows * fan_in));
+  std::vector<float> yrows(static_cast<std::size_t>(rows * out_c));
+  std::vector<float> y(yrows.size()), gx(x.size()), gw(w.size()),
+      gwt(wt.size());
+  auto store_nchw = [&] {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int64_t ni = r / ohow, p = r % ohow;
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        y[static_cast<std::size_t>((ni * out_c + oc) * ohow + p)] =
+            yrows[static_cast<std::size_t>(r * out_c + oc)];
+      }
+    }
+  };
+  const std::string name = std::string("conv2d_") + pass;
+  BackendTiming t_mat{}, t_imp{};
+  double flops = 2.0 * static_cast<double>(rows) * fan_in * out_c;
+  if (name == "conv2d_serve" || name == "conv2d_fwd") {
+    const bool serve = name == "conv2d_serve";
+    t_mat = time_backend([&] {
+      be::im2col(x.data(), n, c, hw, hw, k, k, 1, 0, cols.data());
+      if (serve) {
+        be::gemm_packed(rows, out_c, fan_in, 1.0f, cols.data(), fan_in,
+                        be::Trans::N, wt.data(), out_c, pw, 0.0f, yrows.data(),
+                        out_c);
+      } else {
+        be::gemm(be::Trans::N, be::Trans::N, rows, out_c, fan_in, 1.0f,
+                 cols.data(), fan_in, wt.data(), out_c, 0.0f, yrows.data(),
+                 out_c);
+      }
+      store_nchw();
+    });
+    t_imp = time_backend([&] {
+      if (serve) {
+        be::conv2d_forward(s, x.data(), be::Trans::N, wt.data(), out_c, &pw,
+                           {}, y.data());
+      } else {
+        be::conv2d_forward(s, x.data(), be::Trans::T, w.data(), fan_in,
+                           nullptr, {}, y.data());
+      }
+    });
+  } else if (name == "conv2d_dw") {
+    t_mat = time_backend([&] {
+      be::im2col(x.data(), n, c, hw, hw, k, k, 1, 0, cols.data());
+      be::gemm_tn_split(fan_in, out_c, rows, cols.data(), fan_in, gy.data(),
+                        out_c, 0.0f, gwt.data(), out_c);
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        for (std::int64_t i = 0; i < fan_in; ++i) {
+          gw[static_cast<std::size_t>(oc * fan_in + i)] +=
+              gwt[static_cast<std::size_t>(i * out_c + oc)];
+        }
+      }
+    });
+    t_imp = time_backend([&] {
+      be::conv2d_backward(s, x.data(), w.data(), gy.data(), gw.data(), nullptr,
+                          nullptr);
+    });
+  } else {
+    t_mat = time_backend([&] {
+      be::gemm(be::Trans::N, be::Trans::T, rows, fan_in, out_c, 1.0f,
+               gy.data(), out_c, wt.data(), out_c, 0.0f, cols.data(), fan_in);
+      be::col2im(cols.data(), n, c, hw, hw, k, k, 1, 0, gx.data());
+    });
+    t_imp = time_backend([&] {
+      be::conv2d_backward(s, x.data(), w.data(), gy.data(), nullptr, nullptr,
+                          gx.data());
+    });
+  }
+  return {name,
+          {{"size", static_cast<double>(n)},
+           {"c", static_cast<double>(c)},
+           {"hw", static_cast<double>(hw)},
+           {"k", static_cast<double>(k)},
+           {"out_c", static_cast<double>(out_c)},
+           {"baseline_gflops", flops / t_mat.serial_s * 1e-9},
+           {"baseline_threaded_gflops", flops / t_mat.threaded_s * 1e-9},
+           {"backend_serial_gflops", flops / t_imp.serial_s * 1e-9},
+           {"backend_gflops", flops / t_imp.threaded_s * 1e-9},
+           {"speedup_serial", t_mat.serial_s / t_imp.serial_s},
+           {"speedup", t_mat.threaded_s / t_imp.threaded_s}}};
+}
+
 // The seed's cmatmul lowering: four naive real matmuls + two elementwise
 // combines into freshly allocated planes.
 void naive_cmatmul(const float* ar, const float* ai, const float* br,
@@ -577,6 +700,12 @@ int run_json_report(const std::string& path) {
   report.add(cgemm_batched_record());
   report.add(map_record(1u << 20));
   report.add(im2col_record());
+  // The deploy model's conv2 as served (batch 1 and 16), and the search
+  // proxy's conv2 as the tape runs it (batch 24, width 4).
+  for (std::int64_t n : {1, 16}) report.add(conv_record("serve", n, 32, 20, 5, 32));
+  for (const char* pass : {"fwd", "dw", "dx"}) {
+    report.add(conv_record(pass, 24, 4, 24, 5, 4));
+  }
   add_simd_level_records(report);
   if (!report.write(path, be::num_threads())) {
     std::cerr << "bench_kernels: cannot write " << path << "\n";

@@ -134,8 +134,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, Fwd fwd, DfA dfa, DfB dfb) {
 // The gradient buffer of `t` for a gemm that adds into it with `beta` = 1.
 // A gradient not yet allocated is taken unzeroed and written with beta 0
 // instead: the gemm accumulators start at +0, so that gives the bits of
-// beta 1 over zeros without filling them (im2col's column gradient in a
-// conv backward is the largest buffer of a training step).
+// beta 1 over zeros without filling them.
 float* gemm_grad(const Tensor& t, float& beta) {
   TensorImpl& impl = *t.impl();
   if (impl.grad.empty()) {
@@ -629,56 +628,43 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q) {
                  });
 }
 
-Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               std::int64_t stride, std::int64_t pad) {
-  check(x.ndim() == 4, "im2col: expects [N,C,H,W]");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad - kh) / stride + 1;
-  const std::int64_t ow = (w + 2 * pad - kw) / stride + 1;
-  check(oh > 0 && ow > 0, "im2col: output is empty");
-  const std::int64_t cols = c * kh * kw;
-  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * oh * ow * cols));
-  be::im2col(x.data().data(), n, c, h, w, kh, kw, stride, pad, out.data());
-  return make_op(std::move(out), {n * oh * ow, cols}, {x},
-                 [x, n, c, h, w, kh, kw, stride, pad](TensorImpl& o) {
-                   if (!x.requires_grad()) return;
-                   auto& gx = const_cast<Tensor&>(x).grad();
-                   be::col2im(o.grad.data(), n, c, h, w, kh, kw, stride, pad,
-                              gx.data());
-                 });
-}
-
-Tensor rows_to_nchw(const Tensor& x, std::int64_t n, std::int64_t oh, std::int64_t ow) {
-  check(x.ndim() == 2 && x.dim(0) == n * oh * ow, "rows_to_nchw: shape mismatch");
-  const std::int64_t c = x.dim(1);
-  std::vector<float> out = empty_buffer(static_cast<std::size_t>(n * c * oh * ow));
-  const auto& xd = x.data();
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t yo = 0; yo < oh; ++yo) {
-      for (std::int64_t xo = 0; xo < ow; ++xo) {
-        const std::int64_t row = (ni * oh + yo) * ow + xo;
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          out[static_cast<std::size_t>(((ni * c + ci) * oh + yo) * ow + xo)] =
-              xd[static_cast<std::size_t>(row * c + ci)];
-        }
-      }
-    }
-  }
-  return make_op(std::move(out), {n, c, oh, ow}, {x},
-                 [x, n, oh, ow, c](TensorImpl& o) {
-                   if (!x.requires_grad()) return;
-                   auto& gx = const_cast<Tensor&>(x).grad();
-                   for (std::int64_t ni = 0; ni < n; ++ni) {
-                     for (std::int64_t yo = 0; yo < oh; ++yo) {
-                       for (std::int64_t xo = 0; xo < ow; ++xo) {
-                         const std::int64_t row = (ni * oh + yo) * ow + xo;
-                         for (std::int64_t ci = 0; ci < c; ++ci) {
-                           gx[static_cast<std::size_t>(row * c + ci)] += o.grad[static_cast<std::size_t>(
-                               ((ni * c + ci) * oh + yo) * ow + xo)];
-                         }
-                       }
-                     }
-                   }
+  check(x.ndim() == 4, "conv2d: x expects [N,C,H,W]");
+  check(w.ndim() == 2, "conv2d: w expects [O,C*K*K]");
+  be::ConvShape s;
+  s.n = x.dim(0);
+  s.c = x.dim(1);
+  s.h = x.dim(2);
+  s.w = x.dim(3);
+  s.out_c = w.dim(0);
+  s.stride = stride;
+  s.pad = pad;
+  const std::int64_t taps = s.c > 0 ? w.dim(1) / s.c : 0;
+  while (s.k * s.k < taps) ++s.k;
+  check(s.c > 0 && s.k * s.k * s.c == w.dim(1),
+        "conv2d: w's fan-in is not C*K*K for a square kernel");
+  check(stride >= 1 && pad >= 0, "conv2d: needs stride >= 1 and pad >= 0");
+  check(s.h + 2 * pad >= s.k && s.w + 2 * pad >= s.k, "conv2d: output is empty");
+  check(!bias.defined() || bias.numel() == s.out_c, "conv2d: bias is not [O]");
+  const std::int64_t oh = s.oh(), ow = s.ow();
+  std::vector<float> out = empty_buffer(static_cast<std::size_t>(s.n * s.out_c * oh * ow));
+  be::ConvEpilogue ep;
+  ep.bias = bias.defined() ? bias.data().data() : nullptr;
+  be::conv2d_forward(s, x.data().data(), be::Trans::T, w.data().data(), s.fan_in(),
+                     nullptr, ep, out.data());
+  std::vector<Tensor> parents{x, w};
+  if (bias.defined()) parents.push_back(bias);
+  return make_op(std::move(out), {s.n, s.out_c, oh, ow}, std::move(parents),
+                 [x, w, bias, s](TensorImpl& o) {
+                   auto grad_of = [](const Tensor& t) -> float* {
+                     return t.defined() && t.requires_grad()
+                                ? const_cast<Tensor&>(t).grad().data()
+                                : nullptr;
+                   };
+                   be::conv2d_backward(s, x.data().data(), w.data().data(),
+                                       o.grad.data(), grad_of(w), grad_of(bias),
+                                       grad_of(x));
                  });
 }
 

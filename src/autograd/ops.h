@@ -70,13 +70,16 @@ Tensor block_matrix(const Tensor& stacked, std::int64_t p, std::int64_t q);
 // same ascending-row order.
 Tensor bscale_cols(const Tensor& a, const Tensor& s);
 
-// ---- convolution / pooling support ------------------------------------
-// x: [N,C,H,W] -> columns [N*OH*OW, C*KH*KW]; backward is col2im.
-Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
+// ---- convolution / pooling -------------------------------------------
+// 2-D convolution of x [N,C,H,W] with a square K x K kernel: w is
+// [O,C*K*K] (PyTorch's [O,C,K,K] flattened, PtcWeight's layout; K follows
+// from C), bias [O] / [1,O] or an undefined Tensor; the result is
+// [N,O,OH,OW]. One tape node over the
+// backend's implicit-GEMM conv (backend::conv2d_forward / _backward): no
+// patch matrix is built, forward or backward, and the bits equal the
+// im2col + matmul + bias add + NCHW rearrangement it replaces.
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               std::int64_t stride, std::int64_t pad);
-// Rearrange matmul output [N*OH*OW, C] into [N,C,OH,OW].
-Tensor rows_to_nchw(const Tensor& x, std::int64_t n, std::int64_t oh,
-                    std::int64_t ow);
 // Adaptive average pooling to (out_h, out_w); bins follow PyTorch semantics.
 Tensor adaptive_avgpool2d(const Tensor& x, std::int64_t out_h, std::int64_t out_w);
 // Its bin boundaries, shared with the compiled runtime (runtime/

@@ -54,6 +54,23 @@ class SimdScope {
   int prev_;
 };
 
+// The A operand of the implicit-GEMM conv (kernels.h, conv2d_forward): the
+// [rows, fan_in] patch matrix im2col would build, read in place as
+// A[r][kk] = x[row_base(r) + tap[kk]]. Row r is output pixel (image, yo,
+// xo), column kk the tap (ci, ky, kx); `x` is the input, already zero-padded
+// when the conv pads, so every tap is a plain load.
+struct ConvPatches {
+  const float* x = nullptr;           // [n, c, hp, wp]
+  const std::int64_t* tap = nullptr;  // [fan_in]: ci*hp*wp + ky*wp + kx
+  std::int64_t fan_in = 0, oh = 0, ow = 0, stride = 1;
+  std::int64_t wp = 0, image = 0;     // padded row length, c*hp*wp
+  std::int64_t row_base(std::int64_t r) const {
+    const std::int64_t ohow = oh * ow;
+    const std::int64_t ni = r / ohow, p = r - ni * ohow, yo = p / ow;
+    return ni * image + (yo * wp + (p - yo * ow)) * stride;
+  }
+};
+
 // Function table one ISA TU exports; kernels.cpp routes the float hot paths
 // through the active table (nullptr table = the scalar/legacy blocked path).
 struct KernelTable {
@@ -95,6 +112,19 @@ struct KernelTable {
                           float alpha, const float* a, std::int64_t lda,
                           const float* packed_b, float beta, float* c,
                           std::int64_t ldc);
+  // The gemm driver over patch rows [row0, row0 + rows) of a ConvPatches
+  // operand, bit-identical to the same gemm over the materialized matrix:
+  //   conv_gemm_f32:    C[rows, n] = A @ B, B packed by gemm_pack_b
+  //                     (k = fan_in), beta 0 — the conv forward;
+  //   conv_gemm_tn_f32: C[fan_in, n] = beta * C + A^T @ G, G [rows, n]
+  //                     row-major — one chunk of the weight gradient.
+  void (*conv_gemm_f32)(const ConvPatches& a, std::int64_t row0,
+                        std::int64_t rows, std::int64_t n,
+                        const float* packed_b, float* c, std::int64_t ldc);
+  void (*conv_gemm_tn_f32)(const ConvPatches& a, std::int64_t row0,
+                           std::int64_t rows, std::int64_t n, const float* g,
+                           std::int64_t ldg, float beta, float* c,
+                           std::int64_t ldc);
   // int8 quantized serving path (runtime/plan.h): B packed into interleaved
   // k-pair panels, A streamed row-major, exact int32 accumulation — results
   // are bit-identical to the scalar reference at every level (integer math

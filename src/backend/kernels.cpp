@@ -66,13 +66,73 @@ inline void pack_bt_panel(const T* b, std::int64_t ldb, std::int64_t k0,
   });
 }
 
+// op(A) readers for gemm_impl. `panel(k0, kc)` gives one k-panel's view,
+// whose `row(i)` reads op(A)[i][k0 + kk] as `row[kk]`.
+template <typename T>
+struct DenseRead {
+  Trans ta;
+  const T* a;
+  std::int64_t lda;
+
+  struct Row {
+    const T* p;
+    std::int64_t step;
+    T operator[](std::int64_t kk) const { return p[kk * step]; }
+  };
+  struct Panel {
+    const DenseRead* d;
+    std::int64_t k0;
+    Row row(std::int64_t i) const {
+      return d->ta == Trans::N ? Row{d->a + i * d->lda + k0, 1}
+                               : Row{d->a + k0 * d->lda + i, d->lda};
+    }
+  };
+  Panel panel(std::int64_t k0, std::int64_t) const { return {this, k0}; }
+};
+
+// Patch rows [row0, ...) of the implicit-GEMM conv operand, as A
+// (Trans::N) or A^T (Trans::T): the values the materialized im2col matrix
+// holds, padded taps included.
+struct PatchRead {
+  const ConvPatches* p;
+  std::int64_t row0;
+  Trans ta;
+
+  struct Row {
+    const float* base;
+    const std::int64_t* off;
+    float operator[](std::int64_t kk) const { return base[off[kk]]; }
+  };
+  struct Panel {
+    const PatchRead* r;
+    std::int64_t k0;
+    std::int64_t rb[kKBlock];  // Trans::T: row_base of patch row k0 + kk
+    Row row(std::int64_t i) const {
+      const ConvPatches& p = *r->p;
+      if (r->ta == Trans::N) {
+        return {p.x + p.row_base(r->row0 + i), p.tap + k0};
+      }
+      return {p.x + p.tap[i], rb};
+    }
+  };
+  Panel panel(std::int64_t k0, std::int64_t kc) const {
+    Panel out{this, k0, {}};
+    if (ta == Trans::T) {
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        out.rb[kk] = p->row_base(row0 + k0 + kk);
+      }
+    }
+    return out;
+  }
+};
+
 // SkipZero preserves the seed's sparse-operand shortcut for the photonic
 // matrices (butterfly/permutation products are mostly zeros); the float NN
 // path keeps a branch-free inner loop instead.
-template <typename T, bool SkipZero>
-void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, T alpha, const T* a, std::int64_t lda,
-               const T* b, std::int64_t ldb, T beta, T* c, std::int64_t ldc) {
+template <typename T, bool SkipZero, typename ARead>
+void gemm_impl(const ARead& opa, Trans tb, std::int64_t m, std::int64_t n,
+               std::int64_t k, T alpha, const T* b, std::int64_t ldb, T beta,
+               T* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   auto scale_row = [&](T* crow) { scale_row_beta(beta, n, crow); };
   if (k <= 0) {
@@ -104,13 +164,14 @@ void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
       bpanel = bpack;
       bstride = n;
     }
+    const auto apanel = opa.panel(k0, kc);
     parallel_for(m, kRowBlock, 2 * kc * n, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         T* crow = c + i * ldc;
         if (k0 == 0) scale_row(crow);
+        const auto arow = apanel.row(i);
         for (std::int64_t kk = 0; kk < kc; ++kk) {
-          T av = ta == Trans::N ? a[i * lda + k0 + kk]
-                                : a[(k0 + kk) * lda + i];
+          T av = arow[kk];
           if constexpr (SkipZero) {
             if (av == T{}) continue;
           }
@@ -121,6 +182,14 @@ void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
       }
     });
   }
+}
+
+template <typename T, bool SkipZero>
+void gemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+               std::int64_t k, T alpha, const T* a, std::int64_t lda,
+               const T* b, std::int64_t ldb, T beta, T* c, std::int64_t ldc) {
+  gemm_impl<T, SkipZero>(DenseRead<T>{ta, a, lda}, tb, m, n, k, alpha, b, ldb,
+                         beta, c, ldc);
 }
 
 // Planar complex gemm sharing the blocked structure of gemm_impl: k-panels
@@ -287,12 +356,17 @@ int gemm_tn_split_chunks(std::int64_t m, std::int64_t n, std::int64_t k) {
 
 }  // namespace detail
 
-void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float* a, std::int64_t lda, const float* g,
-                   std::int64_t ldg, float beta, float* c, std::int64_t ldc) {
+namespace {
+
+// gemm_tn_split's body over any A operand: `chunk(lo, hi, beta, out, ldo)`
+// writes out = beta * out + A[lo:hi]^T @ G[lo:hi] for reduction rows
+// [lo, hi).
+template <typename ChunkGemm>
+void tn_split(std::int64_t m, std::int64_t n, std::int64_t k, float beta,
+              float* c, std::int64_t ldc, ChunkGemm chunk) {
   const int chunks = detail::gemm_tn_split_chunks(m, n, k);
   if (chunks < 2) {
-    gemm(Trans::T, Trans::N, m, n, k, 1.0f, a, lda, g, ldg, beta, c, ldc);
+    chunk(0, k, beta, c, ldc);
     return;
   }
   const std::int64_t mn = m * n;
@@ -301,10 +375,8 @@ void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
   parallel_for(chunks, 1, 2 * (k / chunks) * padded_cols(n) * m,
                [=](std::int64_t c0, std::int64_t c1) {
                  for (std::int64_t ch = c0; ch < c1; ++ch) {
-                   const std::int64_t lo = k * ch / chunks;
-                   const std::int64_t hi = k * (ch + 1) / chunks;
-                   gemm(Trans::T, Trans::N, m, n, hi - lo, 1.0f, a + lo * lda,
-                        lda, g + lo * ldg, ldg, 0.0f, part + ch * mn, n);
+                   chunk(k * ch / chunks, k * (ch + 1) / chunks, 0.0f,
+                         part + ch * mn, n);
                  }
                });
   // ShardedGradReducer's tree over ascending chunks: ((p0 + p1) + (p2 + p3))
@@ -334,6 +406,19 @@ void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
                    }
                  }
                });
+}
+
+}  // namespace
+
+void gemm_tn_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, std::int64_t lda, const float* g,
+                   std::int64_t ldg, float beta, float* c, std::int64_t ldc) {
+  tn_split(m, n, k, beta, c, ldc,
+           [=](std::int64_t lo, std::int64_t hi, float b, float* out,
+               std::int64_t ldo) {
+             gemm(Trans::T, Trans::N, m, n, hi - lo, 1.0f, a + lo * lda, lda,
+                  g + lo * ldg, ldg, b, out, ldo);
+           });
 }
 
 PackedGemmB pack_gemm_b(Trans tb, std::int64_t k, std::int64_t n,
@@ -807,6 +892,41 @@ void im2col_s8(const std::int8_t* x, std::int64_t n, std::int64_t c,
   im2col_impl(x, n, c, h, w, kh, kw, stride, pad, out);
 }
 
+namespace {
+
+// Scatters one image's columns [oh*ow, c*kh*kw] into its gradient planes
+// gx [c, h, w], pixel rows in ascending order, taps in (ci, ky, kx) order,
+// out-of-image taps skipped: the order every col2im caller accumulates in.
+void col2im_image(const float* cols_data, std::int64_t c, std::int64_t h,
+                  std::int64_t w, std::int64_t kh, std::int64_t kw,
+                  std::int64_t stride, std::int64_t pad, std::int64_t oh,
+                  std::int64_t ow, float* gx) {
+  const std::int64_t cols = c * kh * kw;
+  for (std::int64_t yo = 0; yo < oh; ++yo) {
+    for (std::int64_t xo = 0; xo < ow; ++xo) {
+      const float* crow = cols_data + (yo * ow + xo) * cols;
+      const std::int64_t x0 = xo * stride - pad;
+      const std::int64_t y0 = yo * stride - pad;
+      const std::int64_t kx_lo = std::max<std::int64_t>(0, -x0);
+      const std::int64_t kx_hi = std::min(kw, w - x0);
+      const std::int64_t ky_lo = std::max<std::int64_t>(0, -y0);
+      const std::int64_t ky_hi = std::min(kh, h - y0);
+      for (std::int64_t ci = 0; ci < c; ++ci) {
+        float* gplane = gx + ci * h * w;
+        for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+          float* grow = gplane + (y0 + ky) * w + x0;
+          const float* cpatch = crow + (ci * kh + ky) * kw;
+          for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+            grow[kx] += cpatch[kx];
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void col2im(const float* cols_data, std::int64_t n, std::int64_t c,
             std::int64_t h, std::int64_t w, std::int64_t kh, std::int64_t kw,
             std::int64_t stride, std::int64_t pad, float* gx) {
@@ -818,30 +938,223 @@ void col2im(const float* cols_data, std::int64_t n, std::int64_t c,
   for_each_index(
       n,
       [=](std::int64_t ni) {
-        for (std::int64_t yo = 0; yo < oh; ++yo) {
-          for (std::int64_t xo = 0; xo < ow; ++xo) {
-            const std::int64_t row = (ni * oh + yo) * ow + xo;
-            const float* crow = cols_data + row * cols;
-            const std::int64_t x0 = xo * stride - pad;
-            const std::int64_t y0 = yo * stride - pad;
-            const std::int64_t kx_lo = std::max<std::int64_t>(0, -x0);
-            const std::int64_t kx_hi = std::min(kw, w - x0);
-            const std::int64_t ky_lo = std::max<std::int64_t>(0, -y0);
-            const std::int64_t ky_hi = std::min(kh, h - y0);
-            for (std::int64_t ci = 0; ci < c; ++ci) {
-              float* gplane = gx + (ni * c + ci) * h * w;
-              for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-                float* grow = gplane + (y0 + ky) * w + x0;
-                const float* cpatch = crow + (ci * kh + ky) * kw;
-                for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
-                  grow[kx] += cpatch[kx];
-                }
-              }
-            }
+        col2im_image(cols_data + ni * oh * ow * cols, c, h, w, kh, kw, stride,
+                     pad, oh, ow, gx + ni * c * h * w);
+      },
+      /*grain=*/1, oh * ow * cols * kElemCost);
+}
+
+namespace {
+
+// Builds the patch operand of `s` over x in the caller's scope: the input
+// zero-padded into scratch when s.pad > 0 (padded zeros are the values
+// im2col writes for clipped taps), and the tap-offset table.
+ConvPatches make_patches(const ConvShape& s, const float* x,
+                         ScratchArena::Scope& scope) {
+  const std::int64_t hp = s.h + 2 * s.pad, wp = s.w + 2 * s.pad;
+  ConvPatches p;
+  p.x = x;
+  if (s.pad > 0) {
+    float* xp = scope.alloc<float>(s.n * s.c * hp * wp);
+    const std::int64_t h = s.h, w = s.w, pad = s.pad;
+    parallel_for(s.n * s.c, 1, hp * wp * kElemCost,
+                 [=](std::int64_t q0, std::int64_t q1) {
+                   for (std::int64_t q = q0; q < q1; ++q) {
+                     float* dst = xp + q * hp * wp;
+                     const float* src = x + q * h * w;
+                     std::fill(dst, dst + pad * wp, 0.0f);
+                     for (std::int64_t y = 0; y < h; ++y) {
+                       float* drow = dst + (pad + y) * wp;
+                       std::fill(drow, drow + pad, 0.0f);
+                       std::copy(src + y * w, src + (y + 1) * w, drow + pad);
+                       std::fill(drow + pad + w, drow + wp, 0.0f);
+                     }
+                     std::fill(dst + (pad + h) * wp, dst + hp * wp, 0.0f);
+                   }
+                 });
+    p.x = xp;
+  }
+  const std::int64_t fan_in = s.fan_in();
+  std::int64_t* tap = scope.alloc<std::int64_t>(fan_in);
+  for (std::int64_t ci = 0; ci < s.c; ++ci) {
+    for (std::int64_t ky = 0; ky < s.k; ++ky) {
+      for (std::int64_t kx = 0; kx < s.k; ++kx) {
+        tap[(ci * s.k + ky) * s.k + kx] = (ci * hp + ky) * wp + kx;
+      }
+    }
+  }
+  p.tap = tap;
+  p.fan_in = fan_in;
+  p.oh = s.oh();
+  p.ow = s.ow();
+  p.stride = s.stride;
+  p.wp = wp;
+  p.image = s.c * hp * wp;
+  return p;
+}
+
+// conv2d_forward's store: gemm rows [r0, r0 + m) (acc, [m, out_c]) into
+// NCHW y, one output channel at a time so writes run along the y plane.
+// Each value takes the epilogue expressions in the order the separate tape
+// ops and plan steps evaluate them: + bias, the BN affine, ReLU.
+void conv_store(const ConvShape& s, const ConvEpilogue& ep, std::int64_t r0,
+                std::int64_t m, const float* acc, float* y) {
+  const std::int64_t ohow = s.oh() * s.ow(), out_c = s.out_c;
+  const bool bn = ep.mu != nullptr;
+  for (std::int64_t r = r0; r < r0 + m;) {
+    const std::int64_t ni = r / ohow, p0 = r - ni * ohow;
+    const std::int64_t p1 = std::min(ohow, p0 + (r0 + m - r));
+    const float* arow = acc + (r - r0) * out_c;
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      float* dplane = y + (ni * out_c + oc) * ohow;
+      const float bc = ep.bias != nullptr ? ep.bias[oc] : 0.0f;
+      const float mu = bn ? ep.mu[oc] : 0.0f;
+      const float is = bn ? ep.invstd[oc] : 0.0f;
+      const float ga = bn ? ep.gamma[oc] : 0.0f;
+      const float be = bn ? ep.beta[oc] : 0.0f;
+      for (std::int64_t p = p0; p < p1; ++p) {
+        float v = arow[(p - p0) * out_c + oc];
+        if (ep.bias != nullptr) v += bc;
+        if (bn) v = (v - mu) * is * ga + be;
+        if (ep.relu) v = v > 0.0f ? v : 0.0f;
+        dplane[p] = v;
+      }
+    }
+    r += p1 - p0;
+  }
+}
+
+}  // namespace
+
+void conv2d_forward(const ConvShape& s, const float* x, Trans tb,
+                    const float* b, std::int64_t ldb, const PackedGemmB* pb,
+                    const ConvEpilogue& ep, float* y) {
+  const std::int64_t rows = s.rows(), fan_in = s.fan_in(), out_c = s.out_c;
+  if (rows <= 0 || out_c <= 0) return;
+  ScratchArena::Scope scope;
+  const ConvPatches p = make_patches(s, x, scope);
+  const KernelTable* t = active_kernels();
+  const float* panels = nullptr;
+  if (t != nullptr) {
+    if (pb != nullptr && !pb->panels.empty() &&
+        pb->level == static_cast<int>(simd_level()) && pb->k == fan_in &&
+        pb->n == out_c) {
+      panels = pb->panels.data();
+    } else {
+      float* pk = scope.alloc<float>(t->gemm_packed_b_floats(fan_in, out_c));
+      t->gemm_pack_b(tb, fan_in, out_c, b, ldb, pk);
+      panels = pk;
+    }
+  }
+  // One launch over blocks of kRowBlock patch rows, each running every
+  // k-panel of its rows and then its store, so a block's gemm output stays
+  // in the worker's cache. Rows are independent, so the blocking is
+  // bit-exact against one gemm over all rows.
+  parallel_for(rows, kRowBlock, 2 * fan_in * padded_cols(out_c),
+               [&](std::int64_t r0, std::int64_t r1) {
+                 ScratchArena::Scope ws;
+                 float* acc = ws.alloc<float>(kRowBlock * out_c);
+                 for (std::int64_t b0 = r0; b0 < r1; b0 += kRowBlock) {
+                   const std::int64_t m = std::min(kRowBlock, r1 - b0);
+                   if (t != nullptr) {
+                     t->conv_gemm_f32(p, b0, m, out_c, panels, acc, out_c);
+                   } else {
+                     gemm_impl<float, false>(PatchRead{&p, b0, Trans::N}, tb,
+                                             m, out_c, fan_in, 1.0f, b, ldb,
+                                             0.0f, acc, out_c);
+                   }
+                   conv_store(s, ep, b0, m, acc, y);
+                 }
+               });
+}
+
+void conv2d_backward(const ConvShape& s, const float* x, const float* w,
+                     const float* gy, float* gw, float* gbias, float* gx) {
+  const std::int64_t rows = s.rows(), fan_in = s.fan_in(), out_c = s.out_c;
+  const std::int64_t ohow = s.oh() * s.ow();
+  if (rows <= 0 || out_c <= 0) return;
+  ScratchArena::Scope scope;
+  // dY, the gemm-row-major [rows, out_c] view of gy, once for all three.
+  float* dy = scope.alloc<float>(rows * out_c);
+  for_each_index(
+      s.n,
+      [=](std::int64_t ni) {
+        const float* gimg = gy + ni * out_c * ohow;
+        float* dimg = dy + ni * ohow * out_c;
+        for (std::int64_t oc = 0; oc < out_c; ++oc) {
+          for (std::int64_t q = 0; q < ohow; ++q) {
+            dimg[q * out_c + oc] = gimg[oc * ohow + q];
           }
         }
       },
-      /*grain=*/1, oh * ow * cols * kElemCost);
+      /*grain=*/1, ohow * out_c * kElemCost);
+  if (gbias != nullptr) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float* drow = dy + r * out_c;
+      for (std::int64_t oc = 0; oc < out_c; ++oc) gbias[oc] += drow[oc];
+    }
+  }
+  const KernelTable* t = active_kernels();
+  if (gw != nullptr) {
+    // dW^T [fan_in, out_c] = patches^T @ dY in gemm_tn_split's chunking,
+    // then added transposed into gw [out_c, fan_in].
+    ScratchArena::Scope wscope;
+    const ConvPatches p = make_patches(s, x, wscope);
+    float* gwt = wscope.alloc<float>(fan_in * out_c);
+    tn_split(fan_in, out_c, rows, 0.0f, gwt, out_c,
+             [&](std::int64_t lo, std::int64_t hi, float beta, float* out,
+                 std::int64_t ldo) {
+               if (t != nullptr) {
+                 t->conv_gemm_tn_f32(p, lo, hi - lo, out_c, dy + lo * out_c,
+                                     out_c, beta, out, ldo);
+               } else {
+                 gemm_impl<float, false>(PatchRead{&p, lo, Trans::T},
+                                         Trans::N, fan_in, out_c, hi - lo,
+                                         1.0f, dy + lo * out_c, out_c, beta,
+                                         out, ldo);
+               }
+             });
+    for_each_index(
+        out_c,
+        [=](std::int64_t oc) {
+          for (std::int64_t i = 0; i < fan_in; ++i) {
+            gw[oc * fan_in + i] += gwt[i * out_c + oc];
+          }
+        },
+        /*grain=*/std::max<std::int64_t>(1, 2048 / fan_in),
+        fan_in * kElemCost);
+  }
+  if (gx != nullptr) {
+    // dX one image at a time: its columns dY_img @ W into the worker's
+    // scratch (W packed once), scattered as col2im scatters them.
+    const float* panels = nullptr;
+    if (t != nullptr) {
+      float* pk = scope.alloc<float>(t->gemm_packed_b_floats(out_c, fan_in));
+      t->gemm_pack_b(Trans::N, out_c, fan_in, w, fan_in, pk);
+      panels = pk;
+    }
+    const ConvShape shape = s;
+    for_each_index(
+        s.n,
+        [=](std::int64_t ni) {
+          ScratchArena::Scope iscope;
+          float* cols = iscope.alloc<float>(ohow * fan_in);
+          const float* dimg = dy + ni * ohow * out_c;
+          if (panels != nullptr) {
+            t->gemm_f32_packed(ohow, fan_in, out_c, 1.0f, dimg, out_c, panels,
+                               0.0f, cols, fan_in);
+          } else {
+            gemm_impl<float, false>(Trans::N, Trans::N, ohow, fan_in, out_c,
+                                    1.0f, dimg, out_c, w, fan_in, 0.0f, cols,
+                                    fan_in);
+          }
+          col2im_image(cols, shape.c, shape.h, shape.w, shape.k, shape.k,
+                       shape.stride, shape.pad, shape.oh(), shape.ow(),
+                       gx + ni * shape.c * shape.h * shape.w);
+        },
+        /*grain=*/1,
+        ohow * (2 * out_c * padded_cols(fan_in) + fan_in * kElemCost));
+  }
 }
 
 double reduce_sum(const float* a, std::size_t n) {

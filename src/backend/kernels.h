@@ -1,7 +1,8 @@
 // Dense kernel layer shared by the autograd ops and the photonic linear
 // algebra: cache-blocked threaded GEMM with logical transpose variants, fused
-// elementwise map/zip kernels, deterministic reductions, and im2col/col2im
-// for the CNN proxy. The float kernels dispatch to SIMD microkernels
+// elementwise map/zip kernels, deterministic reductions, and the implicit-
+// GEMM convolution of the CNN proxy (forward and backward, no im2col
+// matrix). The float kernels dispatch to SIMD microkernels
 // (dispatch.h); the double and complex<double> gemms do not.
 //
 // Every kernel partitions work over disjoint output ranges with chunk
@@ -191,8 +192,65 @@ void softmax_rows(std::int64_t rows, std::int64_t cols, const float* a,
 void log_softmax_rows(std::int64_t rows, std::int64_t cols, const float* a,
                       float* out);
 
-// Patch extraction for NCHW conv-as-gemm. `out` is [n*oh*ow, c*kh*kw] with
-// oh = (h + 2*pad - kh)/stride + 1 (ow analogous); out-of-image taps are 0.
+// ---- convolution ------------------------------------------------------------
+//
+// An NCHW conv with a square kernel is a gemm whose A operand is the patch
+// matrix im2col would build, [n*oh*ow, c*k*k] with row (image, yo, xo) and
+// column (ci, ky, kx). The conv kernels never build it: the gemm driver
+// reads A[r][kk] = x[row_base(r) + tap(kk)] straight from the input
+// (implicit GEMM), zero-padded once when pad > 0. Every value reaching the
+// microkernels is the one the materialized matrix holds, and the k order of
+// every accumulation is gemm's, so results are bit-identical to im2col +
+// gemm (+ col2im) at every SIMD level and thread count.
+
+struct ConvShape {
+  std::int64_t n = 0, c = 0, h = 0, w = 0;  // input [n, c, h, w]
+  std::int64_t k = 1, stride = 1, pad = 0;  // k x k kernel
+  std::int64_t out_c = 0;
+  std::int64_t oh() const { return (h + 2 * pad - k) / stride + 1; }
+  std::int64_t ow() const { return (w + 2 * pad - k) / stride + 1; }
+  std::int64_t fan_in() const { return c * k * k; }
+  std::int64_t rows() const { return n * oh() * ow(); }
+};
+
+// Per-output-channel store of conv2d_forward, applied in this order, each
+// stage skipped when its pointer is null: v += bias; v = (v - mu) * invstd *
+// gamma + beta (eval BatchNorm: all four or none); v = max(v, 0) if relu.
+struct ConvEpilogue {
+  const float* bias = nullptr;
+  const float* mu = nullptr;
+  const float* invstd = nullptr;
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+  bool relu = false;
+};
+
+// y [n, out_c, oh, ow] = epilogue(patches(x) @ op(B)), op(B) the [fan_in,
+// out_c] weight: the plan's gemm-ready copy (Trans::N, ldb = out_c) or the
+// tape's [out_c, fan_in] weight (Trans::T, ldb = fan_in). `pb`, when it
+// holds panels packed by pack_gemm_b for the active level, replaces the
+// per-call pack of op(B). Threads split the patch rows.
+void conv2d_forward(const ConvShape& s, const float* x, Trans tb,
+                    const float* b, std::int64_t ldb, const PackedGemmB* pb,
+                    const ConvEpilogue& ep, float* y);
+
+// The three gradients of y = patches(x) @ w^T + bias from gy [n, out_c,
+// oh, ow], w [out_c, fan_in]; a null output skips its gradient. Each is
+// computed the way matmul + im2col's tape ops compute it, so the bits match:
+//   gbias [out_c]     += column sums of dY in row order;
+//   gw    [out_c, fan_in] += (patches^T @ dY)^T, the product in
+//                        gemm_tn_split's size-only chunking;
+//   gx    [n, c, h, w] += one image at a time, dY_img @ w into scratch,
+//                        scattered in col2im's order.
+// Nothing the size of the patch matrix is allocated: the scratch is dY
+// (the size of y), w packed once, and one image's columns per thread.
+void conv2d_backward(const ConvShape& s, const float* x, const float* w,
+                     const float* gy, float* gw, float* gbias, float* gx);
+
+// The materialized patch matrix: `out` is [n*oh*ow, c*kh*kw] with oh =
+// (h + 2*pad - kh)/stride + 1 (ow analogous); out-of-image taps are 0. The
+// fp32 convs no longer call it; it is the reference their tests compare
+// against.
 void im2col(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
             std::int64_t w, std::int64_t kh, std::int64_t kw,
             std::int64_t stride, std::int64_t pad, float* out);
@@ -208,7 +266,8 @@ void im2col_s8(const std::int8_t* x, std::int64_t n, std::int64_t c,
                std::int8_t* out);
 
 // Adjoint of im2col: scatters `cols` (same layout as im2col's output) back
-// into the image, *accumulating* into gx (callers pass a gradient buffer).
+// into the image, *accumulating* into gx. conv2d_backward scatters each
+// image in the same order; like im2col, this is the tests' reference.
 void col2im(const float* cols, std::int64_t n, std::int64_t c, std::int64_t h,
             std::int64_t w, std::int64_t kh, std::int64_t kw,
             std::int64_t stride, std::int64_t pad, float* gx);

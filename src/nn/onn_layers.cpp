@@ -285,14 +285,9 @@ ONNConv2d::ONNConv2d(std::int64_t in_channels, std::int64_t out_channels,
 }
 
 Tensor ONNConv2d::forward(const Tensor& x) {
-  const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const std::int64_t ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  Tensor cols = ag::im2col(x, k_, k_, stride_, pad_);      // [N*OH*OW, fan_in]
-  Tensor wt = ag::transpose(weight_.weight_expr());        // [fan_in, out_c]
-  Tensor y = ag::matmul(cols, wt);
-  if (bias_.defined()) y = ag::add(y, bias_);
-  return ag::rows_to_nchw(y, n, oh, ow);
+  ag::check(x.ndim() == 4 && x.dim(1) == in_c_,
+            "ONNConv2d: input is not [N,in_channels,H,W]");
+  return ag::conv2d(x, weight_.weight_expr(), bias_, stride_, pad_);
 }
 
 std::vector<Tensor> ONNConv2d::parameters() {

@@ -335,89 +335,81 @@ void CompiledModel::apply(const PlanStep& s, const float* src,
       break;
     }
     case PlanStep::Kind::conv: {
+      if (!s.quantized) {
+        // The tape's conv node runs this same routine: an implicit-GEMM
+        // conv over the NCHW input (no patch matrix), its store loop
+        // applying bias, then the BN affine fuse_plan folded in, then
+        // ReLU — the float expressions, in order, the separate steps
+        // evaluate.
+        be::ConvShape shape;
+        shape.n = batch;
+        shape.c = s.c;
+        shape.h = s.h;
+        shape.w = s.w;
+        shape.k = s.k;
+        shape.stride = s.stride;
+        shape.pad = s.pad;
+        shape.out_c = s.out_c;
+        be::ConvEpilogue ep;
+        ep.bias = s.bias.empty() ? nullptr : s.bias.data();
+        if (s.bn_after) {
+          ep.mu = s.mu.data();
+          ep.invstd = s.invstd.data();
+          ep.gamma = s.gamma.data();
+          ep.beta = s.beta.data();
+        }
+        ep.relu = s.relu_after;
+        be::conv2d_forward(shape, src, be::Trans::N, s.weight.data(), s.out_c,
+                           &s.packed, ep, dst);
+        break;
+      }
       const std::int64_t ohow = s.oh * s.ow;
       const std::int64_t fan_in = s.c * s.k * s.k;
-      // Sample-block tiling (fuse_plan): im2col + gemm + store run per
-      // block of samples, so the cols/rows scratch holds one block instead
-      // of the whole batch. Rows are sample-independent, so any blocking is
-      // bit-exact vs the single full-batch pass (conv_row_block == 0).
+      // Sample-block tiling (fuse_plan): quantize + byte gather + gemm +
+      // store run per block of samples, so the int8 scratch holds one
+      // block instead of the whole batch. Rows are sample-independent, so
+      // any blocking gives the same result as one full-batch pass
+      // (conv_row_block == 0).
       std::int64_t nb = batch;
       if (s.conv_row_block > 0) {
         nb = std::clamp(s.conv_row_block / ohow, std::int64_t{1}, batch);
       }
-      if (s.quantized) {
-        // The int8 pipeline quantizes the feature map once per SAMPLE
-        // (c*h*w values — an order of magnitude fewer than the
-        // rows*fan_in cols matrix), then gathers patches as bytes:
-        // im2col is pure data movement, so gathering quantized pixels
-        // equals quantizing gathered pixels, and every row of a sample
-        // shares that sample's activation scale.
-        ws.ascale.resize(static_cast<std::size_t>(nb));
-        ws.qsrc.resize(static_cast<std::size_t>(nb * s.in_numel));
-        ws.qa.resize(static_cast<std::size_t>(nb * ohow * fan_in));
-        ws.qacc.resize(static_cast<std::size_t>(nb * ohow * s.out_c));
-      } else {
-        ws.cols.resize(static_cast<std::size_t>(nb * ohow * fan_in));
-        ws.rows.resize(static_cast<std::size_t>(nb * ohow * s.out_c));
-      }
-      const float* bias = s.bias.empty() ? nullptr : s.bias.data();
+      // The int8 pipeline quantizes the feature map once per SAMPLE (c*h*w
+      // values — an order of magnitude fewer than the rows*fan_in patch
+      // matrix), then gathers patches as bytes: im2col is pure data
+      // movement, so gathering quantized pixels equals quantizing gathered
+      // pixels, and every row of a sample shares that sample's activation
+      // scale.
+      ws.ascale.resize(static_cast<std::size_t>(nb));
+      ws.qsrc.resize(static_cast<std::size_t>(nb * s.in_numel));
+      ws.qa.resize(static_cast<std::size_t>(nb * ohow * fan_in));
+      ws.qacc.resize(static_cast<std::size_t>(nb * ohow * s.out_c));
       for (std::int64_t n0 = 0; n0 < batch; n0 += nb) {
         const std::int64_t nblk = std::min(nb, batch - n0);
         const std::int64_t rows = nblk * ohow;
-        if (s.quantized) {
-          quantize_rows(nblk, s.in_numel, src + n0 * s.in_numel,
-                        ws.ascale.data(), ws.qsrc.data());
-          be::im2col_s8(ws.qsrc.data(), nblk, s.c, s.h, s.w, s.k, s.k,
-                        s.stride, s.pad, ws.qa.data());
-          be::gemm_s8_packed(rows, s.out_c, fan_in, ws.qa.data(), fan_in,
-                             s.weight_s8.data(), s.out_c, s.packed_s8,
-                             ws.qacc.data(), s.out_c);
-        } else {
-          be::im2col(src + n0 * s.in_numel, nblk, s.c, s.h, s.w, s.k, s.k,
-                     s.stride, s.pad, ws.cols.data());
-          be::gemm_packed(rows, s.out_c, fan_in, 1.0f, ws.cols.data(), fan_in,
-                          be::Trans::N, s.weight.data(), s.out_c, s.packed,
-                          0.0f, ws.rows.data(), s.out_c);
-        }
-        // Fused epilogue + rows_to_nchw store, one output CHANNEL at a time:
-        // writes are contiguous along the dst plane (the gemm-row-major
-        // orientation would scatter them a plane apart), the gemm output
-        // column walks a fixed stride, and the per-channel constants hoist
-        // out of the pixel loop. For fp32 the per-element float expression
-        // sequence — bias, then the BN affine when fuse_plan folded one in,
-        // then ReLU — is exactly what the separate steps evaluate; only the
-        // iteration order changes, which no element depends on. For int8
-        // the constants were pre-folded into qscale/qbias at freeze.
+        quantize_rows(nblk, s.in_numel, src + n0 * s.in_numel,
+                      ws.ascale.data(), ws.qsrc.data());
+        be::im2col_s8(ws.qsrc.data(), nblk, s.c, s.h, s.w, s.k, s.k, s.stride,
+                      s.pad, ws.qa.data());
+        be::gemm_s8_packed(rows, s.out_c, fan_in, ws.qa.data(), fan_in,
+                           s.weight_s8.data(), s.out_c, s.packed_s8,
+                           ws.qacc.data(), s.out_c);
+        // Dequantize + NCHW store, one output CHANNEL at a time: writes are
+        // contiguous along the dst plane, the gemm output column walks a
+        // fixed stride, and the per-channel constants (bias and any BN
+        // folded into qscale/qbias at freeze) hoist out of the pixel loop.
         for (std::int64_t ni = 0; ni < nblk; ++ni) {
           for (std::int64_t ci = 0; ci < s.out_c; ++ci) {
             const std::size_t sc = static_cast<std::size_t>(ci);
-            float* dplane =
-                dst + (((n0 + ni) * s.out_c + ci) * s.oh) * s.ow;
-            if (s.quantized) {
-              const std::int32_t* qcol =
-                  ws.qacc.data() + ni * ohow * s.out_c + ci;
-              const float scale =
-                  ws.ascale[static_cast<std::size_t>(ni)] * s.qscale[sc];
-              const float qb = s.qbias[sc];
-              for (std::int64_t p = 0; p < ohow; ++p) {
-                float v = static_cast<float>(qcol[p * s.out_c]) * scale + qb;
-                if (s.relu_after && v < 0.0f) v = 0.0f;
-                dplane[p] = v;
-              }
-            } else {
-              const float* rcol = ws.rows.data() + ni * ohow * s.out_c + ci;
-              const float bc = bias != nullptr ? bias[ci] : 0.0f;
-              const float mu = s.bn_after ? s.mu[sc] : 0.0f;
-              const float is = s.bn_after ? s.invstd[sc] : 0.0f;
-              const float ga = s.bn_after ? s.gamma[sc] : 0.0f;
-              const float be_ = s.bn_after ? s.beta[sc] : 0.0f;
-              for (std::int64_t p = 0; p < ohow; ++p) {
-                float v = rcol[p * s.out_c];
-                if (bias != nullptr) v += bc;
-                if (s.bn_after) v = (v - mu) * is * ga + be_;
-                if (s.relu_after) v = v > 0.0f ? v : 0.0f;
-                dplane[p] = v;
-              }
+            float* dplane = dst + (((n0 + ni) * s.out_c + ci) * s.oh) * s.ow;
+            const std::int32_t* qcol = ws.qacc.data() + ni * ohow * s.out_c + ci;
+            const float scale =
+                ws.ascale[static_cast<std::size_t>(ni)] * s.qscale[sc];
+            const float qb = s.qbias[sc];
+            for (std::int64_t p = 0; p < ohow; ++p) {
+              float v = static_cast<float>(qcol[p * s.out_c]) * scale + qb;
+              if (s.relu_after && v < 0.0f) v = 0.0f;
+              dplane[p] = v;
             }
           }
         }
@@ -567,34 +559,28 @@ std::vector<float> CompiledModel::run(const std::vector<float>& input,
 std::int64_t CompiledModel::workspace_bytes(std::int64_t batch) const {
   std::int64_t total = 0;
   for (auto sz : slot_sizes_) total += sz * batch * 4;
-  // The conv/quant scratch vectors are shared across steps and never
-  // shrink, so each contributes its per-plan maximum.
-  std::int64_t cols = 0, rows = 0, qsrc = 0, qa = 0, qacc = 0, ascale = 0;
+  // The int8 scratch vectors are shared across steps and never shrink, so
+  // each contributes its per-plan maximum. An fp32 conv keeps no workspace
+  // scratch: it reads its patches in place.
+  std::int64_t qsrc = 0, qa = 0, qacc = 0, ascale = 0;
   for (const PlanStep& s : steps_) {
-    if (s.kind == PlanStep::Kind::conv) {
+    if (s.kind == PlanStep::Kind::conv && s.quantized) {
       const std::int64_t ohow = s.oh * s.ow;
-      const std::int64_t fan_in = s.c * s.k * s.k;
       std::int64_t nb = batch;
       if (s.conv_row_block > 0) {
         nb = std::clamp(s.conv_row_block / ohow, std::int64_t{1}, batch);
       }
-      const std::int64_t r = nb * ohow;
-      if (s.quantized) {
-        qsrc = std::max(qsrc, nb * s.in_numel);
-        qa = std::max(qa, r * fan_in);
-        qacc = std::max(qacc, r * s.out_c);
-        ascale = std::max(ascale, nb);
-      } else {
-        cols = std::max(cols, r * fan_in);
-        rows = std::max(rows, r * s.out_c);
-      }
+      qsrc = std::max(qsrc, nb * s.in_numel);
+      qa = std::max(qa, nb * ohow * s.c * s.k * s.k);
+      qacc = std::max(qacc, nb * ohow * s.out_c);
+      ascale = std::max(ascale, nb);
     } else if (s.kind == PlanStep::Kind::linear && s.quantized) {
       qa = std::max(qa, batch * s.in_feat);
       qacc = std::max(qacc, batch * s.out_feat);
       ascale = std::max(ascale, batch);
     }
   }
-  return total + (cols + rows + ascale) * 4 + qsrc + qa + qacc * 4;
+  return total + ascale * 4 + qsrc + qa + qacc * 4;
 }
 
 void CompiledModel::dump_plan(std::ostream& os) const {

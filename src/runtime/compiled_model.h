@@ -4,10 +4,10 @@
 // ONN layer's eval-time weight through the existing batched `weight_expr`
 // path (phase noise suspended, stream untouched), and lowers the forward
 // pass into a flat list of steps that call the backend kernels
-// (`gemm`/`im2col`/pool/activation) directly on raw float buffers — no
+// (`gemm`/`conv2d_forward`/pool/activation) directly on raw float buffers — no
 // ag::Tensor nodes, no tape, no gradient plumbing, no per-op allocations
 // beyond a reusable workspace. The planning passes in runtime/plan.h then
-// fuse BatchNorm epilogues, tile conv im2col+gemm into sample blocks, map
+// fuse BatchNorm epilogues, tile the int8 conv gather into sample blocks, map
 // step outputs into a shared slot pool (liveness analysis), optionally
 // quantize gemm/conv weights to int8, and pack weights for the active SIMD
 // level.
@@ -44,7 +44,6 @@ class CompiledModel {
   // plan and stay allocated, so steady-state runs are allocation-free.
   struct Workspace {
     std::vector<std::vector<float>> slots;  // the plan's shared buffer pool
-    std::vector<float> cols, rows;          // conv im2col / gemm-out scratch
     std::vector<std::int8_t> qsrc;          // quantized conv feature map
     std::vector<std::int8_t> qa;            // quantized gemm activation rows
     std::vector<std::int32_t> qacc;         // int32 gemm accumulators

@@ -13,10 +13,11 @@ namespace {
 
 std::atomic<std::uint64_t> g_weight_pack_count{0};
 
-// Target im2col rows per conv block: enough rows to keep the gemm's row
-// parallelism fed while bounding scratch to block * fan_in. Blocks split on
-// sample boundaries (im2col rows of one sample are independent), so every
-// per-element operation sequence is identical to the unblocked pass.
+// Target patch rows per int8 conv block: enough rows to keep the gemm's row
+// parallelism fed while bounding the byte-gathered patch scratch to block *
+// fan_in. Blocks split on sample boundaries (patch rows of one sample are
+// independent), so every per-element operation sequence is identical to the
+// unblocked pass. fp32 convs gather nothing and ignore the block.
 constexpr std::int64_t kConvRowBlockTarget = 256;
 
 bool elementwise(const PlanStep& s) {
@@ -208,7 +209,9 @@ void dump_plan_steps(const std::vector<PlanStep>& steps,
       os << " [" << s.c << "x" << s.h << "x" << s.w << " -> " << s.out_c << "x"
          << s.oh << "x" << s.ow << " k" << s.k << " s" << s.stride << " p"
          << s.pad << "]";
-      if (s.conv_row_block > 0) os << " block=" << s.conv_row_block;
+      if (s.quantized && s.conv_row_block > 0) {
+        os << " block=" << s.conv_row_block;
+      }
     } else if (s.kind == PlanStep::Kind::maxpool ||
                s.kind == PlanStep::Kind::avgpool) {
       os << " [" << s.c << "x" << s.h << "x" << s.w << " -> " << s.c << "x"

@@ -5,8 +5,9 @@
 // reference). The passes here rewrite that chain before weights are packed:
 //
 //   fuse_plan      BatchNorm epilogue fusion into the producing conv, and
-//                  sample-block tiling of the im2col+gemm pair so conv
-//                  scratch is sized to a block, not the whole batch.
+//                  sample-block tiling of the int8 conv's byte gather so its
+//                  scratch is sized to a block, not the whole batch (an fp32
+//                  conv reads its patches in place and needs no block).
 //   quantize_plan  opt-in int8 execution: per-output-channel weight scales,
 //                  int8 weight image, exact int32 accumulation at run time.
 //   assign_slots   liveness analysis over the chain, mapping every step's
@@ -51,7 +52,9 @@ struct FreezeOptions {
 // One step of the compiled chain. Per-sample geometry is frozen; `batch`
 // arrives at run time. Kinds and operands:
 //   linear     gemm [batch, in_feat] x weight [in_feat, out_feat]
-//   conv       im2col + gemm, weight [C*k*k, out_c], NCHW in/out
+//   conv       implicit-GEMM conv (backend::conv2d_forward, the tape's
+//              conv node's routine), weight [C*k*k, out_c], NCHW in/out;
+//              int8: byte im2col + int8 gemm
 //   batchnorm  standalone eval-mode BN (when not fused as an epilogue)
 //   relu / maxpool / avgpool  elementwise / window kernels, no weights
 struct PlanStep {
@@ -84,9 +87,10 @@ struct PlanStep {
   // fuse_plan folded the following BN into its store loop (`bn_after`).
   std::vector<float> mu, invstd, gamma, beta;
   bool bn_after = false;
-  // conv only: target im2col rows per sample-block (0 = whole batch at
-  // once). fuse_plan sets this so conv scratch holds a block, not the
-  // batch; row-independent kernels make any blocking bit-exact.
+  // int8 conv only: target patch rows per sample-block of the byte gather
+  // (0 = whole batch at once). fuse_plan sets this so the int8 scratch
+  // holds a block, not the batch; row-independent kernels make any
+  // blocking exact. fp32 convs gather nothing and ignore it.
   std::int64_t conv_row_block = 0;
 
   // int8 execution (quantize_plan): weight_s8 is the [K, N] quantized

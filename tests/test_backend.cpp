@@ -1,6 +1,7 @@
 // Tests for the src/backend dense kernel layer: blocked gemm (all transpose
 // variants, non-square/odd shapes, alpha/beta), the split long-reduction
-// weight-gradient gemm, fused elementwise kernels, im2col/col2im, the
+// weight-gradient gemm, fused elementwise kernels, im2col/col2im (the conv
+// kernels' reference; tests/test_conv.cpp checks the conv itself), the
 // parallel_for runtime and its thread caps, thread-count bit-exactness, and
 // gradchecks of the autograd ops ported onto the backend.
 #include <gtest/gtest.h>
@@ -1012,14 +1013,18 @@ TEST(BackendGradcheck, MatmulSplitWeightGradient) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
+// The conv node's patch operand at stride 2 with padding: dX, dW and dbias
+// of ag::conv2d against finite differences.
 TEST(BackendGradcheck, Im2colStridedPadded) {
   Rng rng(23);
   ag::Tensor x = random_tensor({2, 2, 5, 5}, rng);
+  ag::Tensor w = random_tensor({3, 2 * 3 * 3}, rng);
+  ag::Tensor bias = random_tensor({1, 3}, rng);
   auto res = ag::gradcheck(
       [](const std::vector<ag::Tensor>& in) {
-        return ag::sum(ag::square(ag::im2col(in[0], 3, 3, 2, 1)));
+        return ag::sum(ag::square(ag::conv2d(in[0], in[1], in[2], 2, 1)));
       },
-      {x});
+      {x, w, bias});
   EXPECT_TRUE(res.ok) << res.detail;
 }
 

@@ -22,69 +22,84 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, bool rg = true) 
   return ag::make_tensor(std::move(data), std::move(shape), rg);
 }
 
+// The conv node's patch operand, read through ag::conv2d: with the identity
+// weight over c*k*k taps, output channel kk at pixel (yo, xo) is the tap kk
+// of that pixel's patch, i.e. the im2col matrix entry [row][kk].
+Tensor tap_identity(std::int64_t taps) {
+  std::vector<float> w(static_cast<std::size_t>(taps * taps), 0.0f);
+  for (std::int64_t i = 0; i < taps; ++i) w[static_cast<std::size_t>(i * taps + i)] = 1.0f;
+  return Tensor::from_data({taps, taps}, std::move(w));
+}
+
 TEST(Im2col, ShapeAndIdentityKernel) {
-  // 1x1 kernel, stride 1: columns are just the pixels.
+  // 1x1 kernel, stride 1: the patches are just the pixels.
   Rng rng(1);
   Tensor x = random_tensor({2, 3, 4, 4}, rng, false);
-  Tensor cols = ag::im2col(x, 1, 1, 1, 0);
-  EXPECT_EQ(cols.dim(0), 2 * 4 * 4);
-  EXPECT_EQ(cols.dim(1), 3);
-  // pixel (n=1,c=2,y=3,x=0) = row (1*4+3)*4+0, col 2
-  const float expected = x.data()[static_cast<std::size_t>(((1 * 3 + 2) * 4 + 3) * 4 + 0)];
-  EXPECT_FLOAT_EQ(cols.at((1 * 4 + 3) * 4 + 0, 2), expected);
+  Tensor y = ag::conv2d(x, tap_identity(3), Tensor(), 1, 0);
+  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 3, 4, 4}));
+  // pixel (n=1,c=2,y=3,x=0) is tap 2 of patch (1, 3, 0)
+  const std::size_t at = static_cast<std::size_t>(((1 * 3 + 2) * 4 + 3) * 4 + 0);
+  EXPECT_FLOAT_EQ(y.data()[at], x.data()[at]);
 }
 
 TEST(Im2col, KnownPatchValues) {
-  // 1 channel 3x3 image, 2x2 kernel, stride 1, no pad: 4 patches.
+  // 1 channel 3x3 image, 2x2 kernel, stride 1, no pad: 4 patches of 4 taps.
   Tensor x = Tensor::from_data({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-  Tensor cols = ag::im2col(x, 2, 2, 1, 0);
-  EXPECT_EQ(cols.dim(0), 4);
-  EXPECT_EQ(cols.dim(1), 4);
+  Tensor y = ag::conv2d(x, tap_identity(4), Tensor(), 1, 0);  // [1,4,2,2]
+  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{1, 4, 2, 2}));
+  auto tap = [&](std::int64_t kk, std::int64_t patch) {
+    return y.data()[static_cast<std::size_t>(kk * 4 + patch)];
+  };
   // first patch [1,2,4,5]
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 1);
-  EXPECT_FLOAT_EQ(cols.at(0, 3), 5);
+  EXPECT_FLOAT_EQ(tap(0, 0), 1);
+  EXPECT_FLOAT_EQ(tap(3, 0), 5);
   // last patch [5,6,8,9]
-  EXPECT_FLOAT_EQ(cols.at(3, 0), 5);
-  EXPECT_FLOAT_EQ(cols.at(3, 3), 9);
+  EXPECT_FLOAT_EQ(tap(0, 3), 5);
+  EXPECT_FLOAT_EQ(tap(3, 3), 9);
 }
 
 TEST(Im2col, PaddingZeros) {
   Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor cols = ag::im2col(x, 3, 3, 1, 1);  // 'same' 3x3
-  EXPECT_EQ(cols.dim(0), 4);
-  EXPECT_EQ(cols.dim(1), 9);
+  Tensor y = ag::conv2d(x, tap_identity(9), Tensor(), 1, 1);  // 'same' 3x3
+  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{1, 9, 2, 2}));
   // top-left output: kernel centered at (0,0); top-left tap out of bounds -> 0
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 0);
-  EXPECT_FLOAT_EQ(cols.at(0, 4), 1);  // center tap
+  EXPECT_FLOAT_EQ(y.data()[0 * 4 + 0], 0);
+  EXPECT_FLOAT_EQ(y.data()[4 * 4 + 0], 1);  // center tap
 }
 
 TEST(Im2col, Gradcheck) {
   Rng rng(2);
   Tensor x = random_tensor({1, 2, 4, 4}, rng);
+  Tensor w = random_tensor({3, 2 * 3 * 3}, rng);
   auto fn = [](const std::vector<Tensor>& in) {
-    return ag::sum(ag::square(ag::im2col(in[0], 3, 3, 1, 1)));
+    return ag::sum(ag::square(ag::conv2d(in[0], in[1], Tensor(), 1, 1)));
   };
-  const auto result = ag::gradcheck(fn, {x});
+  const auto result = ag::gradcheck(fn, {x, w});
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
+// The node's NCHW store: a 1x1 identity conv returns its input.
 TEST(RowsToNchw, RoundTripWithIm2col1x1) {
   Rng rng(3);
   Tensor x = random_tensor({2, 3, 2, 2}, rng, false);
-  Tensor cols = ag::im2col(x, 1, 1, 1, 0);       // [N*H*W, C]
-  Tensor back = ag::rows_to_nchw(cols, 2, 2, 2); // [N,C,H,W]
+  Tensor back = ag::conv2d(x, tap_identity(3), Tensor(), 1, 0);
+  ASSERT_EQ(back.shape(), x.shape());
   for (std::size_t i = 0; i < x.data().size(); ++i) {
     EXPECT_FLOAT_EQ(back.data()[i], x.data()[i]);
   }
 }
 
+// The store's adjoint: dW and dbias read the NCHW output gradient as
+// gemm rows.
 TEST(RowsToNchw, Gradcheck) {
   Rng rng(4);
-  Tensor x = random_tensor({6, 3}, rng);  // N*OH*OW = 6 with N=1, OH=2, OW=3
-  auto fn = [](const std::vector<Tensor>& in) {
-    return ag::sum(ag::square(ag::rows_to_nchw(in[0], 1, 2, 3)));
+  Tensor x = random_tensor({2, 3, 2, 3}, rng, false);
+  Tensor w = random_tensor({4, 3}, rng);
+  Tensor bias = random_tensor({4}, rng);
+  auto fn = [x](const std::vector<Tensor>& in) {
+    return ag::sum(ag::square(ag::conv2d(x, in[0], in[1], 1, 0)));
   };
-  EXPECT_TRUE(ag::gradcheck(fn, {x}).ok);
+  EXPECT_TRUE(ag::gradcheck(fn, {w, bias}).ok);
 }
 
 TEST(AdaptiveAvgPool, ExactDivision) {

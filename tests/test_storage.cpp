@@ -67,9 +67,9 @@ struct RunRecord {
   std::string topology;
 };
 
-// At width 16 not only activations, im2col columns and their gradients sit
-// above the storage floor but also the [T,K,K] weight-chain stacks of conv2
-// and the classifier (T = 100 tiles at K = 8).
+// At width 16 not only activations and their gradients sit above the
+// storage floor but also the [T,K,K] weight-chain stacks of conv2 and the
+// classifier (T = 100 tiles at K = 8).
 constexpr int kWidth = 16;
 
 // A proxy-CNN train_classifier call on a fixed butterfly PTC under phase
